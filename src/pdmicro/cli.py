@@ -194,7 +194,7 @@ def load_profile_csv(path) -> "detector.RadialProfile":
     rho, j = [], []
     header_seen = False
     with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -209,9 +209,16 @@ def load_profile_csv(path) -> "detector.RadialProfile":
                     raise ConfigError(f"unexpected profile header {line!r}")
                 header_seen = True
                 continue
-            a, _, b = line.partition(",")
-            rho.append(float(a))
-            j.append(float(b))
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ConfigError(f"profile CSV line {lineno}: expected 'rho_m,j_norm', "
+                                  f"got {line!r}")
+            for value, column in zip(fields, (rho, j)):
+                try:
+                    column.append(float(value))
+                except ValueError:
+                    raise ConfigError(f"profile CSV line {lineno}: cannot parse "
+                                      f"{value.strip()!r} as a number") from None
     try:
         energy = units.convert_energy(float(meta["energy_ueV"]), "ueV", "J")
         d = float(meta["distance_m"])
@@ -219,6 +226,8 @@ def load_profile_csv(path) -> "detector.RadialProfile":
         kind = {"s": SourceKind.S_WAVE, "pz": SourceKind.PZ_DIPOLE}[meta.get("source_kind", "s")]
     except KeyError as exc:
         raise ConfigError(f"profile CSV missing metadata: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"profile CSV metadata: {exc}") from None
     return detector.RadialProfile(
         rho=np.asarray(rho), j=np.asarray(j), E=energy, d=d,
         source=SourceModel(kind, 1.0), scales=units.make_scales(field),
@@ -235,17 +244,12 @@ def _write_pgm(path, img01, created):
     created.append(path)
 
 
-def _pool_map(fn, chunks, workers):
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
+def _pool_map(fn, items, workers):
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     import multiprocessing as mp
     with mp.Pool(processes=workers) as pool:
-        return pool.map(fn, chunks)
-
-
-def _map_worker(args):
-    rows, ctx = args
-    return detector.map_rows(rows, ctx["plane"], ctx["E"], ctx["src"], ctx["scales"], ctx["rate"])
+        return pool.map(fn, items)
 
 
 def _sweep_worker(args):
@@ -275,14 +279,7 @@ def _run_map(cfg: RunConfig, created):
     extent = cfg.grid_extent_m if cfg.grid_extent_m is not None else 1.2 * rmax
     plane = detector.DetectorPlane(d=cfg.distance_m, extent=extent, n=cfg.grid_n)
 
-    rate = detector.total_rate(E, src, scales)
-    workers = cfg.workers or (os.cpu_count() or 1)
-    ctx = {"plane": plane, "E": E, "src": src, "scales": scales, "rate": rate}
-    n_chunks = min(workers * 4, plane.n)
-    chunks = [(list(rows), ctx) for rows in np.array_split(np.arange(plane.n), n_chunks)]
-    parts = _pool_map(_map_worker, chunks, workers)
-    img = np.vstack(parts)
-
+    img = detector.map_plane(E, src, scales, plane).j
     jmax = float(img.max())
     prof = detector.radial_profile(E, src, scales, plane, cfg.profile_samples)
     meta = _metadata_lines(cfg, scales, extra=[

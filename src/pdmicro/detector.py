@@ -11,7 +11,9 @@ conservation reads total_flux = 1.
 
 Pixel grids are node-registered: x_i = -extent + i * (2 extent / n). A map
 at n is then an exact subsample of a map at 2n, and every pixel is a pure
-function of its coordinates (maps parallelize without changing a bit).
+function of its coordinates. Since the s-wave and pz-dipole currents depend
+on rho alone, a map evaluates each distinct pixel radius once, so its cost
+scales with the number of distinct radii, not with the number of pixels.
 """
 
 from __future__ import annotations
@@ -147,14 +149,18 @@ def map_rows(rows, plane: DetectorPlane, E: float, src: SourceModel, scales: Fie
              rate: float) -> np.ndarray:
     """Normalized current for the given row indices of the pixel grid.
 
-    Pure per-pixel evaluation; the unit of work for parallel map builds.
+    The current depends on rho only, so each distinct pixel radius is
+    evaluated once and copied back to its pixels. Duplicates are removed by
+    exact floating-point value (|x|, |y| and then their hypot), with no
+    assumption that the grid is mirror symmetric: every pixel still gets
+    the elementwise flux of its own exact rho = hypot(x, y), bit for bit.
     """
     x, y = plane.axes()
-    out = np.empty((len(rows), plane.n))
-    for k, iy in enumerate(rows):
-        rho = np.hypot(x, y[iy])
-        out[k] = _flux_array(rho, np.full_like(rho, -plane.d), E, src, scales) / rate
-    return out
+    ax, ix = np.unique(np.abs(x), return_inverse=True)
+    ay, iy = np.unique(np.abs(y[np.asarray(rows, dtype=np.intp)]), return_inverse=True)
+    rho, ir = np.unique(np.hypot(ax, ay[:, None]), return_inverse=True)
+    j = _flux_array(rho, np.full_like(rho, -plane.d), E, src, scales) / rate
+    return j[ir].reshape(len(ay), len(ax))[np.ix_(iy, ix)]
 
 
 def map_plane(E: float, src: SourceModel, scales: FieldScales, plane: DetectorPlane) -> CurrentMap:

@@ -17,12 +17,12 @@ pattern, A * j_model(rho; E), by damped Gauss-Newton (Levenberg style) over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quad import pairwise_sum
-from .exceptions import FitConvergenceError
+from .exceptions import FitConvergenceError, NumericsError
 from .units import FieldScales
 from .green import SourceModel, SourceKind, ldos_bracket_s, ldos_bracket_pz
 from . import detector
@@ -139,7 +139,7 @@ def extract_energy(profile: detector.RadialProfile, scales: FieldScales, d: floa
     try:
         report = detector.count_fringes(profile, None)
         n_fr = max(report.n_fringes, 1)
-    except Exception:
+    except NumericsError:   # undersampled profile: let the scan find the basin
         n_fr = 1
     c = scales.constants
     e_guess = (2.0 * math.pi * n_fr * 3.0 * c.hbar * scales.force_F
@@ -204,14 +204,15 @@ def run_sweep(hnu_list, E0_true: float, src: SourceModel, scales: FieldScales,
 
 
 def add_noise(profile: detector.RadialProfile, percent: float, rng) -> detector.RadialProfile:
-    """Multiplicative Gaussian noise: j -> j (1 + percent/100 * N(0,1))."""
+    """Multiplicative Gaussian noise: j -> j (1 + percent/100 * N(0,1)).
+
+    Every other field, the field scales included, carries over, so noisy
+    profiles keep the flux reach check and the undersampling guard.
+    """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     factor = 1.0 + 0.01 * percent * rng.standard_normal(len(profile.j))
-    return detector.RadialProfile(
-        rho=profile.rho, j=profile.j * factor,
-        E=profile.E, d=profile.d, source=profile.source,
-    )
+    return replace(profile, j=profile.j * factor)
 
 
 def einstein_fit(points) -> EinsteinFitResult:

@@ -253,6 +253,31 @@ class TestProfileRoundTrip:
         e_fit, _ = spectro.extract_energy(prof, scales, prof.d)
         assert abs(e_fit - E) / E <= 5e-4
 
+    @pytest.mark.parametrize("bad_row, named", [("0.0,abc", "'abc'"),
+                                                 ("0.0 1.5", "'0.0 1.5'")])
+    def test_malformed_row_is_a_config_error(self, tmp_path, monkeypatch, bad_row, named):
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path, "r1.cfg", R1_PROFILE.format(prefix="rt"))
+        assert main(["profile", path]) == 0
+        lines = (tmp_path / "rt_profile.csv").read_text().splitlines()
+        lineno = len(lines) - 3
+        lines[lineno - 1] = bad_row
+        bad = tmp_path / "bad_profile.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"line {lineno}: .*{named}"):
+            cli.load_profile_csv(bad)
+        # a subcommand that reads the file reports it with the config exit code
+        monkeypatch.setitem(cli._RUNNERS, "profile",
+                            lambda cfg, created: cli.load_profile_csv(bad))
+        assert main(["profile", path]) == 2
+
+    def test_malformed_metadata_is_a_config_error(self, tmp_path):
+        bad = tmp_path / "bad_profile.csv"
+        bad.write_text("# field_V_per_m = 400\n# distance_m = 0.5\n# energy_ueV = abc\n"
+                       "rho_m,j_norm\n0.0,1.0\n")
+        with pytest.raises(ConfigError, match="metadata"):
+            cli.load_profile_csv(bad)
+
     def test_both_energy_keys_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config("field_V_per_m = 400\nenergy_ueV = 200\nphoton_eV = 1.5\n")

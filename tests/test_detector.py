@@ -21,6 +21,15 @@ from pdmicro.green import SourceKind, SourceModel, SpacePoint
 D = 0.5
 
 
+def _per_pixel_map(plane, E, src, scales, rate):
+    """Reference map: the flux of every pixel row evaluated on its own."""
+    x, y = plane.axes()
+    return np.vstack([
+        detector._flux_array(np.hypot(x, yi), np.full_like(x, -plane.d), E, src, scales) / rate
+        for yi in y
+    ])
+
+
 def _plane(E, scales, d=D, n=16, pad=1.25):
     rmax = classical.rho_max(E, scales, d)
     return DetectorPlane(d=d, extent=pad * rmax, n=n)
@@ -181,6 +190,48 @@ class TestMaps:
         parts = np.vstack([map_rows(r, plane, E_r1, s_wave, scales, rate)
                            for r in (range(0, 10), range(10, 25), range(25, 32))])
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    @pytest.mark.parametrize("n", [16, 17, 100, 128, 255])
+    def test_map_equals_per_pixel_reference(self, scales, E_r1, kind, n):
+        # distinct-radius evaluation must give every pixel the bits of its
+        # own flux, also where the grid is not exactly mirror symmetric
+        x, _ = DetectorPlane(d=D, extent=1.0e-3, n=n).axes()
+        assert any(abs(x[i]) != abs(x[n - i]) for i in range(1, n))
+        src = SourceModel(kind, 1.0)
+        rate = detector.total_rate(E_r1, src, scales)
+        rng = np.random.default_rng(n)
+        for extent in (6.0e-4, 1.0e-3, 1.25e-3):
+            plane = DetectorPlane(d=D, extent=extent, n=n)
+            ref = _per_pixel_map(plane, E_r1, src, scales, rate)
+            assert np.array_equal(map_plane(E_r1, src, scales, plane).j, ref)
+            rows = np.sort(rng.choice(n, size=n // 3, replace=False))
+            assert np.array_equal(map_rows(rows, plane, E_r1, src, scales, rate), ref[rows])
+
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    def test_map_below_threshold_equals_per_pixel_reference(self, scales, kind):
+        src = SourceModel(kind, 1.0)
+        E = units.convert_energy(-0.3, "ueV", "J")
+        plane = DetectorPlane(d=D, extent=8.0e-4, n=100)
+        rate = detector.total_rate(E, src, scales)
+        ref = _per_pixel_map(plane, E, src, scales, rate)
+        assert np.array_equal(map_plane(E, src, scales, plane).j, ref)
+
+    def test_map_evaluates_each_distinct_radius_once(self, scales, E_r1, s_wave, monkeypatch):
+        points = []
+        flux = detector._flux_array
+
+        def counting(rho, *args):
+            points.append(np.size(rho))
+            return flux(rho, *args)
+
+        monkeypatch.setattr(detector, "_flux_array", counting)
+        n = 128
+        plane = DetectorPlane(d=D, extent=1.0e-3, n=n)
+        map_plane(E_r1, s_wave, scales, plane)
+        x, y = plane.axes()
+        distinct = np.unique(np.hypot(x, y[:, None])).size
+        assert sum(points) <= distinct < n * n // 3
 
     def test_repeat_determinism(self, scales, E_r1, s_wave):
         plane = DetectorPlane(d=D, extent=1.0e-3, n=32)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdmicro import classical, detector, units
-from pdmicro.exceptions import FitConvergenceError
+from pdmicro.exceptions import FitConvergenceError, NumericsError
 from pdmicro.green import SourceKind, SourceModel, _quad_eval
 from pdmicro.spectro import (
     SweepPoint,
@@ -92,6 +92,27 @@ class TestExtractEnergy:
         # achieved accuracy is far better; pin a regression bound
         assert abs(e_fit - E_r1) / E_r1 <= 1e-4
         assert 1e-4 < resid < 1e-2   # rms residual tracks the 1% noise level
+
+    def test_noisy_profile_keeps_scales_and_guard(self, scales, s_wave):
+        # 64 samples at 400 ueV undersample the fringes; the guard needs the
+        # field scales, which the noisy copy must carry
+        E = units.convert_energy(400.0, "ueV", "J")
+        prof = detector.radial_profile(E, s_wave, scales, _plane(E, scales), 64)
+        noisy = add_noise(prof, 1.0, np.random.default_rng(42))
+        assert noisy.scales is scales
+        with pytest.raises(NumericsError, match="undersampled"):
+            detector.count_fringes(noisy)
+
+    def test_only_numerics_errors_fall_back_to_the_scan(self, scales, s_wave, E_r1,
+                                                        monkeypatch):
+        prof = detector.radial_profile(E_r1, s_wave, scales, _plane(E_r1, scales), 600)
+
+        def broken(profile, scales=None):
+            raise TypeError("not a fringe-count failure")
+
+        monkeypatch.setattr(detector, "count_fringes", broken)
+        with pytest.raises(TypeError):
+            extract_energy(prof, scales, D)
 
     def test_amplitude_scale_invariance(self, scales, s_wave, E_r1):
         prof = detector.radial_profile(E_r1, s_wave, scales, _plane(E_r1, scales), 400)
