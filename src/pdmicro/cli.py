@@ -6,13 +6,15 @@ lines echoing the configuration (minus `workers`, so outputs stay
 byte-identical across parallelism levels) and the derived field scales.
 Floats are serialized with repr(), the shortest round-trip decimal form.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 fit
-non-convergence.
+Exit codes: 0 success, 2 config error or an output that cannot be
+written, 3 numerical failure, 4 fit non-convergence. On any error the
+outputs already written are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -21,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classical, detector, spectro, units
-from .exceptions import ConfigError, FitConvergenceError, NumericsError, PdmicroError
-from .green import SourceKind, SourceModel
+from .exceptions import (ConfigError, FitConvergenceError, NumericsError, OutputError,
+                         PdmicroError)
+from .green import SourceKind, SourceModel, SpacePoint, _closed_eval
 
 __all__ = ["RunConfig", "parse_config", "run_subcommand", "main", "SUBCOMMANDS"]
 
@@ -71,7 +74,7 @@ class RunConfig:
     profile_samples: int = 800
     seed: int = 42
     noise_percent: float = 0.0
-    workers: int = 0            # 0 = available cores
+    workers: int = 0            # 0 = one per CPU this process may use
     output_prefix: str = "pdmicro"
 
     def source(self) -> SourceModel:
@@ -132,7 +135,7 @@ def _validate(cfg: RunConfig):
     if cfg.noise_percent < 0.0:
         raise ConfigError("noise_percent must be >= 0")
     if cfg.workers < 0:
-        raise ConfigError("workers must be >= 1 (or omitted)")
+        raise ConfigError("workers must be >= 0 (0 or omitted: one per usable CPU)")
     if cfg.source_kind not in ("s", "pz"):
         raise ConfigError(f"source_kind must be 's' or 'pz', got {cfg.source_kind!r}")
 
@@ -174,14 +177,27 @@ def _metadata_lines(cfg: RunConfig, scales, extra=()):
     return lines
 
 
+@contextlib.contextmanager
+def _output(path, mode, created, **kwargs):
+    """Open one artifact for writing, listed in `created` as soon as it exists.
+
+    An OSError while opening or writing it becomes an OutputError.
+    """
+    try:
+        with open(path, mode, **kwargs) as f:
+            created.append(path)
+            yield f
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
+
+
 def _write_csv(path, meta, header, rows, created):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with _output(path, "w", created, encoding="utf-8", newline="\n") as f:
         for line in meta:
             f.write(line + "\n")
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
-    created.append(path)
 
 
 def load_profile_csv(path) -> "detector.RadialProfile":
@@ -238,17 +254,25 @@ def _write_pgm(path, img01, created):
     """16-bit big-endian P5; img01 rows ordered bottom-up (y = -extent first)."""
     levels = np.clip(np.rint(img01 * 65535.0), 0, 65535).astype(">u2")
     levels = levels[::-1]    # top row = +extent edge
-    with open(path, "wb") as f:
+    with _output(path, "wb", created) as f:
         f.write(f"P5\n{levels.shape[1]} {levels.shape[0]}\n65535\n".encode("ascii"))
         f.write(levels.tobytes())
-    created.append(path)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
+    """fn over items, in order; at most one process per item."""
+    processes = min(workers, len(items))
+    if processes <= 1:
         return [fn(item) for item in items]
     import multiprocessing as mp
-    with mp.Pool(processes=workers) as pool:
+    with mp.Pool(processes=processes) as pool:
         return pool.map(fn, items)
 
 
@@ -328,7 +352,7 @@ def _sweep_points(cfg: RunConfig, scales, src):
         raise ConfigError("all photon energies are below the binding energy")
     rmax = classical.rho_max(e_max, scales, cfg.distance_m)
     plane = detector.DetectorPlane(d=cfg.distance_m, extent=1.25 * rmax, n=16)
-    workers = cfg.workers or (os.cpu_count() or 1)
+    workers = cfg.workers or _usable_cpus()
     ctx = {"E0": E0, "src": src, "scales": scales, "plane": plane,
            "n_samples": cfg.profile_samples, "noise": cfg.noise_percent, "seed": cfg.seed}
     pts = _pool_map(_sweep_worker, [(h, ctx) for h in hnus], workers)
@@ -374,12 +398,16 @@ def _run_compare_semiclassical(cfg: RunConfig, created):
     E = _energy_J(cfg)
     d = cfg.distance_m
     rmax = classical.rho_max(E, scales, d)
-    from .green import SpacePoint, green_energy
     rhos = np.linspace(0.05, 1.0 - classical.CAUSTIC_BAND - 0.01, cfg.profile_samples) * rmax
+    # the exact wave at every radius in one closed-form call, in field units
+    # as green_energy converts them, so each value matches its scalar call
+    l = scales.length_lF
+    g = _closed_eval(rhos / l, np.full_like(rhos, -d) / l, 0.0, 0.0,
+                     E / scales.energy_epsF)["g"]
     rows = []
-    for rho in rhos:
+    for rho, g_i in zip(rhos, g):
         p = SpacePoint(float(rho), -d)
-        j_ex = abs(green_energy(p, SpacePoint(0.0, 0.0), E, scales).value) ** 2
+        j_ex = abs(complex(g_i) / l) ** 2
         j_sc = abs(classical.semiclassical_wave(p, E, scales)) ** 2
         rows.append((rho, j_ex, j_sc, (j_sc - j_ex) / j_ex))
     meta = _metadata_lines(cfg, scales, extra=[f"# rho_max_m = {_fmt(rmax)}"])
@@ -434,6 +462,9 @@ def main(argv=None) -> int:
         return run_subcommand(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FitConvergenceError as exc:
         print(f"fit error: {exc}", file=sys.stderr)

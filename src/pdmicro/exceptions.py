@@ -29,5 +29,9 @@ class RootBracketError(NumericsError):
     """Root finding failed to bracket or polish a required root."""
 
 
+class OutputError(PdmicroError):
+    """An output artifact could not be written."""
+
+
 class FitConvergenceError(PdmicroError):
     """Nonlinear least squares did not converge."""

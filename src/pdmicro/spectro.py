@@ -12,6 +12,11 @@ for a dimensional rate; all module outputs stay in the normalized units.
 The inverse problem fits a measured radial profile with the simulator's own
 pattern, A * j_model(rho; E), by damped Gauss-Newton (Levenberg style) over
 (E, A) after a deterministic coarse scan locates the fringe-count basin.
+Within one fit the model is memoized by the exact float E, so every
+distinct energy is evaluated once, and energies are evaluated in batches
+of at most _BATCH_POINTS detector points per flux call (one energy per
+call if a profile is longer): the scan takes a few calls, and each model
+row is bit-identical to a one-energy call.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
 _MAX_ITER = 200
 _STEP_TOL = 1e-8
 _MIN_FIT_ENERGY = 0.5   # in units of eps_F; below this no fringes to fit
+_BATCH_POINTS = 4096    # detector points per model flux call; bounds a fit's memory
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,20 @@ class EinsteinFitResult:
     n_points: int
 
 
-def golden_rule_current(E: float, src: SourceModel, scales: FieldScales) -> float:
-    """Total detachment rate, normalized units; valid for either sign of E."""
-    if not math.isfinite(E):
+def golden_rule_current(E: float | np.ndarray, src: SourceModel,
+                        scales: FieldScales) -> float | np.ndarray:
+    """Total detachment rate, normalized units; valid for either sign of E.
+
+    E is a float or an array of energies: a float gives a float, an array
+    an array of the same shape, each element equal to its scalar call.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    if not np.all(np.isfinite(E)):
         raise ValueError("E must be finite")
     xi = -E / scales.energy_epsF
     if src.kind is SourceKind.S_WAVE:
-        return float(ldos_bracket_s(xi)) * src.strength**2
-    return float(ldos_bracket_pz(xi)) / 3.0 * src.strength**2
+        return ldos_bracket_s(xi) * src.strength**2
+    return ldos_bracket_pz(xi) / 3.0 * src.strength**2
 
 
 def _lm_fit(residual_fn, p0, scale, max_iter=_MAX_ITER, step_tol=_STEP_TOL):
@@ -129,11 +141,25 @@ def extract_energy(profile: detector.RadialProfile, scales: FieldScales, d: floa
         raise FitConvergenceError("degenerate flat profile")
 
     eps = scales.energy_epsF
+    z = np.full_like(rho, -d)
+    rows = {}   # exact E -> read-only normalized model row
+
+    def evaluate(energies):
+        todo = [E for E in dict.fromkeys(energies) if E not in rows]
+        per_call = max(1, _BATCH_POINTS // len(rho))
+        for i in range(0, len(todo), per_call):
+            batch = np.array(todo[i:i + per_call], dtype=np.float64)
+            shape = (len(batch), len(rho))
+            # (k, n) broadcast views, not (n,) rows: np.size(rho) counts every point
+            j = detector._flux_array(np.broadcast_to(rho, shape), np.broadcast_to(z, shape),
+                                     batch[:, None], profile.source, scales)
+            j = j / golden_rule_current(batch, profile.source, scales)[:, None]
+            j.flags.writeable = False
+            rows.update(zip(todo[i:i + per_call], j))
 
     def model(E):
-        z = np.full_like(rho, -d)
-        j = detector._flux_array(rho, z, E, profile.source, scales)
-        return j / golden_rule_current(E, profile.source, scales)
+        evaluate([E])
+        return rows[E]
 
     # fringe-count inversion for the starting energy
     try:
@@ -149,6 +175,7 @@ def extract_energy(profile: detector.RadialProfile, scales: FieldScales, d: floa
     # coarse scan with the amplitude eliminated analytically
     candidates = e_guess * np.geomspace(0.5, 2.0, 49)
     candidates = candidates[candidates > _MIN_FIT_ENERGY * eps]
+    evaluate(candidates.tolist())
     best = None
     for E_try in candidates:
         mj = model(float(E_try))

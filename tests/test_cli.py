@@ -205,6 +205,77 @@ class TestSubcommands:
         assert np.max(np.abs(rels)) < 1.0
 
 
+    def test_compare_semiclassical_equals_per_point_green_energy(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        from pdmicro import classical
+        from pdmicro.green import SpacePoint, green_energy
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nenergy_ueV = 250\n"
+               "profile_samples = 64\noutput_prefix = c\n")
+        assert main(["compare-semiclassical", _write(tmp_path, "c.cfg", cfg)]) == 0
+        lines = (tmp_path / "c_compare.csv").read_text().splitlines()
+        rows = [[float(v) for v in l.split(",")] for l in lines[lines.index(
+            "rho_m,j_exact,j_semi,rel_err") + 1:]]
+        assert len(rows) == 64
+        scales = units.make_scales(400.0)
+        E = units.convert_energy(250.0, "ueV", "J")
+        for rho, j_ex, j_sc, rel in rows:
+            p = SpacePoint(rho, -0.5)
+            ref_ex = abs(green_energy(p, SpacePoint(0.0, 0.0), E, scales).value) ** 2
+            ref_sc = abs(classical.semiclassical_wave(p, E, scales)) ** 2
+            assert (j_ex, j_sc, rel) == (ref_ex, ref_sc, (ref_sc - ref_ex) / ref_ex)
+
+
+class TestWorkerPool:
+    class _RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps serially."""
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        import multiprocessing
+        monkeypatch.setattr(self._RecordingPool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", self._RecordingPool)
+        return self._RecordingPool.sizes
+
+    def test_at_most_one_process_per_item(self, pool_sizes):
+        assert cli._pool_map(abs, [-1, 2, -3], 8) == [1, 2, 3]
+        assert cli._pool_map(abs, [-1, 2, -3, 4], 2) == [1, 2, 3, 4]
+        assert pool_sizes == [3, 2]
+
+    def test_one_item_or_worker_runs_serially(self, pool_sizes):
+        assert cli._pool_map(abs, [-5], 4) == [5]
+        assert cli._pool_map(abs, [-1, -2], 1) == [1, 2]
+        assert cli._pool_map(abs, [], 4) == []
+        assert pool_sizes == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        seen = []
+        monkeypatch.setattr(cli, "_pool_map",
+                            lambda fn, items, workers: seen.append(workers) or [])
+        cfg = parse_config("field_V_per_m = 400\ndistance_m = 0.5\n"
+                           "photon_eV = 1.4613,1.4614\nbinding_eV = 1.4612\n")
+        scales, src = cli._scales_and_source(cfg)
+        cli._sweep_points(cfg, scales, src)
+        cfg.workers = 2
+        cli._sweep_points(cfg, scales, src)
+        assert seen == [3, 2]
+
+
 class TestExitCodesAndCleanup:
     def test_config_error_exit_2(self, tmp_path):
         path = _write(tmp_path, "bad.cfg", "fielb_V_per_m = 400\n")
@@ -225,6 +296,27 @@ class TestExitCodesAndCleanup:
         assert main(["profile", path]) == 3
         assert not (tmp_path / "p_profile.csv").exists()
         assert not (tmp_path / "p_fringes.csv").exists()
+
+    def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nenergy_ueV = 200\n"
+               "profile_samples = 64\noutput_prefix = missing/c\n")
+        assert main(["compare-semiclassical", _write(tmp_path, "c.cfg", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
+
+    def test_unwritable_second_output_removes_the_first(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # map writes the profile CSV first; a directory in the PGM's place
+        # makes the second write fail
+        (tmp_path / "m_map.pgm").mkdir()
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nenergy_ueV = 200\n"
+               "grid_n = 16\nprofile_samples = 64\noutput_prefix = m\n")
+        assert main(["map", _write(tmp_path, "m.cfg", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert not (tmp_path / "m_profile.csv").exists()
+        assert (tmp_path / "m_map.pgm").is_dir()
 
     def test_fit_failure_exit_4(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -277,6 +369,10 @@ class TestProfileRoundTrip:
                        "rho_m,j_norm\n0.0,1.0\n")
         with pytest.raises(ConfigError, match="metadata"):
             cli.load_profile_csv(bad)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigError, match=">= 0"):
+            parse_config("field_V_per_m = 400\nworkers = -1\n")
 
     def test_both_energy_keys_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmicro import classical, detector, units
+from pdmicro import classical, detector, spectro, units
 from pdmicro.exceptions import FitConvergenceError, NumericsError
 from pdmicro.green import SourceKind, SourceModel, _quad_eval
 from pdmicro.spectro import (
@@ -71,10 +71,81 @@ class TestGoldenRule:
         oracle_rate = -4.0 * rich
         assert_allclose(golden_rule_current(E_r1, pz_dipole, scales), oracle_rate, rtol=1e-4)
 
+    def test_array_energy_equals_scalar_calls(self, scales, s_wave, pz_dipole):
+        es = np.concatenate([np.linspace(-3.0, 30.0, 67), [0.0, 0.37, 11.0 / 3.0]])
+        es = es * scales.energy_epsF
+        for src in (s_wave, pz_dipole):
+            batch = golden_rule_current(es, src, scales)
+            assert batch.shape == es.shape
+            ref = [golden_rule_current(float(E), src, scales) for E in es]
+            assert all(isinstance(j, float) for j in ref)
+            assert batch.tolist() == ref
+        with pytest.raises(ValueError, match="finite"):
+            golden_rule_current(np.array([1e-23, math.nan]), s_wave, scales)
+
     def test_strength_scaling(self, scales, E_r1):
         j1 = golden_rule_current(E_r1, SourceModel(SourceKind.S_WAVE, 1.0), scales)
         j2 = golden_rule_current(E_r1, SourceModel(SourceKind.S_WAVE, 2.0), scales)
         assert_allclose(j2, 4.0 * j1, rtol=1e-14)
+
+
+def _fit_profiles(scales, src):
+    """600-sample profiles at four energies, noiseless and with 1% noise."""
+    for u in (3.0, 7.5, 12.0, 19.0):
+        E = u * scales.energy_epsF
+        prof = detector.radial_profile(E, src, scales, _plane(E, scales), 600)
+        yield prof
+        yield add_noise(prof, 1.0, np.random.default_rng(int(10 * u)))
+
+
+class TestExtractEnergyBatching:
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    def test_equals_one_energy_per_call_reference(self, scales, kind, monkeypatch):
+        src = SourceModel(kind, 1.0)
+        profiles = list(_fit_profiles(scales, src))
+        batched = [extract_energy(p, scales, D) for p in profiles]
+
+        flux, rate = detector._flux_array, spectro.golden_rule_current
+
+        def flux_per_energy(rho, z, E, src, scales):
+            return np.array([flux(np.array(r), np.array(zz), float(e), src, scales)
+                             for r, zz, e in zip(rho, z, np.ravel(E))])
+
+        def rate_per_energy(E, src, scales):
+            return np.array([rate(float(e), src, scales) for e in E])
+
+        monkeypatch.setattr(detector, "_flux_array", flux_per_energy)
+        monkeypatch.setattr(spectro, "golden_rule_current", rate_per_energy)
+        reference = [extract_energy(p, scales, D) for p in profiles]
+        assert batched == reference
+
+    @pytest.mark.parametrize("kind, cap", [(SourceKind.S_WAVE, None),
+                                           (SourceKind.PZ_DIPOLE, None),
+                                           (SourceKind.S_WAVE, 1500)])
+    def test_each_energy_evaluated_once_within_the_point_cap(self, scales, kind, cap,
+                                                             monkeypatch):
+        assert spectro._BATCH_POINTS <= 4096    # bounds the benchmark's peak memory
+        if cap is not None:
+            monkeypatch.setattr(spectro, "_BATCH_POINTS", cap)
+        src = SourceModel(kind, 1.0)
+        flux = detector._flux_array
+        calls = []
+
+        def counting(rho, z, E, src, scales):
+            calls.append((np.size(rho), np.ravel(E).tolist()))
+            return flux(rho, z, E, src, scales)
+
+        monkeypatch.setattr(detector, "_flux_array", counting)
+        for prof in _fit_profiles(scales, src):
+            calls.clear()
+            extract_energy(prof, scales, D)
+            energies = [e for _, es in calls for e in es]
+            assert len(energies) == len(set(energies))
+            assert all(n <= spectro._BATCH_POINTS for n, _ in calls)
+            assert sum(n for n, _ in calls) == 600 * len(energies)
+            # the 49-candidate scan takes ceil(49 / per_call) calls, the LM one each
+            per_call = spectro._BATCH_POINTS // 600
+            assert len(calls) == len(energies) - 49 + math.ceil(49 / per_call)
 
 
 class TestExtractEnergy:
