@@ -226,28 +226,27 @@ class TestSubcommands:
 
 
 class TestWorkerPool:
-    class _RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, maps serially."""
-        sizes = []
-
-        def __init__(self, processes):
-            self.sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
     @pytest.fixture()
     def pool_sizes(self, monkeypatch):
+        """multiprocessing.Pool replaced by a serial stand-in that records its size."""
         import multiprocessing
-        monkeypatch.setattr(self._RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", self._RecordingPool)
-        return self._RecordingPool.sizes
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        return sizes
 
     def test_at_most_one_process_per_item(self, pool_sizes):
         assert cli._pool_map(abs, [-1, 2, -3], 8) == [1, 2, 3]
