@@ -27,6 +27,7 @@ from .classical import (
     find_trajectories,
     action_along,
     central_phase_difference,
+    semiclassical_profile,
     semiclassical_wave,
 )
 from .detector import (

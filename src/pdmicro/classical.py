@@ -1,24 +1,55 @@
 """Classical two-path structure of the uniform-field electron fountain.
 
-A monoenergetic point source in a constant downward force reaches any
+A monoenergetic point source in a constant downward force F reaches any
 detector point inside the paraboloid of safety along exactly two
-trajectories (early/direct and late/reflected). This module solves the
-shooting problem, carries reduced actions and stability amplitudes, and
-coherently sums the two paths into a semiclassical Green function that the
-exact module can be checked against.
+trajectories (early/direct and late/reflected). This module solves that
+shooting problem in closed form, carries reduced actions and stability
+amplitudes, and coherently sums the two paths into a semiclassical Green
+function that the exact module can be checked against.
 
 Launch angle theta is measured from +z (0 = straight up, against the force;
 pi = straight down toward the detector).
+
+Closed form. With zeta = E/F, T = tan(elevation) and kappa = g rho^2/(2 v0^2)
+= rho^2/(4 zeta), a launch lands on (rho, -d) when
+kappa T^2 - rho T + (kappa - d) = 0. Times 4 zeta, and in X = rho T (the
+height of the launch line above the source at radius rho), this reads
+X^2 - 4 zeta X + (rho^2 - 4 zeta d) = 0, with discriminant
+4 (rho_max^2 - rho^2): it vanishes on the caustic, where it is clamped at 0.
+The late root is X+ = 2 zeta + s, s = sqrt(rho_max^2 - rho^2), and the early
+root comes from Vieta's formula, X- = (rho^2 - 4 zeta d)/(2 zeta + s), so
+neither loses digits to cancellation, and the axis rho = 0 (straight down,
+straight up) is the same formula. With h = hypot(rho, X) each path has
+
+- flight time t = h/v0 and launch angle theta = atan2(rho, X);
+- reduced action W = m v0 h (6 zeta + 2 d - X)/(6 zeta);
+- flux-tube amplitude |A| = sqrt((v0/v_f) sin(theta) / (rho |d rho_f/d theta|
+  cos(alpha_f))) / (4 pi) with the analytic Jacobian
+  d rho_f/d theta = v0 t (cos theta - v0 sin^2 theta / sqrt(v_z0^2 + 2 g d)).
+  On the roots this reduces to |A| = 1/(4 pi sqrt(2 s q)), q = 2 zeta + d +- s
+  (early q = R^2/(2 zeta + d + s) by Vieta, R^2 = rho^2 + d^2), which is inf
+  on the caustic, s = 0;
+- Maslov index 1 for the late path, which has touched the caustic, 0 for the
+  early one.
+
+The two phases differ by (W+ - W-)/hbar = (4/3)(-alpha+)^{3/2}, with
+alpha+ = -u + (R - d)/(2 l_F), u = E/eps_F and R - d = rho^2/(R + d); this
+is taken from the identity rather than from the difference of two actions
+of ~1e10 rad at macroscopic d.
+
+Independent oracles: resimulate_endpoint re-integrates Newton's equations
+(RK4) to the landing point, and action_quadrature integrates |p| dl along
+the sampled path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import RootBracketError
 from .units import FieldScales
 from .green import SpacePoint
 
@@ -31,13 +62,12 @@ __all__ = [
     "action_quadrature",
     "central_phase_difference",
     "fringe_count_estimate",
+    "semiclassical_profile",
     "semiclassical_wave",
     "resimulate_endpoint",
 ]
 
 CAUSTIC_BAND = 0.02           # exclusion band around rho_max, fraction of rho_max
-_THETA_CELLS = 720            # bracketing grid over launch angle
-_FD_THETA = 1e-6              # Jacobian finite-difference step, radians
 
 
 @dataclass(frozen=True)
@@ -76,123 +106,84 @@ def rho_max(E: float, scales: FieldScales, d: float) -> float:
     return 2.0 * math.sqrt(d * z + z * z)
 
 
-def _flight_time(theta, v0, g, d):
-    """Unique positive root of the z equation for given launch angle."""
-    vz = v0 * np.cos(theta)
-    return (vz + np.sqrt(vz * vz + 2.0 * g * d)) / g
-
-
-def _shoot(theta, v0, g, d):
-    """Arrival meridian coordinate rho_f(theta) on the plane z = -d (signed)."""
-    t = _flight_time(theta, v0, g, d)
-    return v0 * np.sin(theta) * t
-
-
-def _polish(fn, lo, hi, f_lo, f_hi, rel_tol=1e-12, max_iter=200):
-    """Bisection with secant acceleration on a sign-changing bracket."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        # secant candidate, kept only if it lands strictly inside
-        denom = f_hi - f_lo
-        if denom != 0.0:
-            sec = hi - f_hi * (hi - lo) / denom
-            if lo < sec < hi:
-                mid = sec
-        f_mid = fn(mid)
-        if f_mid == 0.0 or (hi - lo) <= rel_tol * max(abs(mid), 1e-3):
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _kinematics(E, scales, d):
+def _kinematics(E, scales):
     m = scales.constants.m_e
     v0 = math.sqrt(2.0 * E / m)
     g = scales.force_F / m
     return m, v0, g
 
 
+class _Paths(NamedTuple):
+    """Both paths to each of n radii; (2, n) fields, row 0 early, row 1 late.
+
+    Column i describes n_paths[i] paths: 2 inside the disk, 1 (row 0, the
+    degenerate root) on the caustic, 0 outside, where the column holds the
+    caustic root and lands nowhere near the radius.
+    """
+
+    n_paths: np.ndarray       # (n,)
+    t_flight: np.ndarray
+    launch_angle: np.ndarray
+    action_S: np.ndarray
+    vanvleck_amp: np.ndarray
+    maslov: np.ndarray
+    dphi: np.ndarray          # (n,) (W_late - W_early)/hbar, 0 on the caustic
+
+
+def _two_paths(rho, d: float, E: float, scales: FieldScales) -> _Paths:
+    """Closed-form shooting to every radius of `rho` on the plane z = -d at once."""
+    if not d > 0.0:
+        raise ValueError("target must lie below the source (z < 0)")
+    rm = rho_max(E, scales, d)                             # raises for E <= 0
+    if not np.all((rho >= 0.0) & (rho < math.inf)):
+        raise ValueError("radii must be finite and non-negative")
+    m, v0, _ = _kinematics(E, scales)
+    zeta = _zeta(E, scales)
+    caustic = rho >= rm * (1.0 - 1e-9)
+    n_paths = np.where(rho > rm * (1.0 + 1e-12), 0, np.where(caustic, 1, 2))
+    # a quarter of the discriminant, clamped at 0 on the caustic and outside
+    s = np.sqrt(np.where(caustic, 0.0, (rm - rho) * (rm + rho)))
+    late = 2.0 * zeta + s
+    x = np.stack([(rho * rho - 4.0 * zeta * d) / late, late])
+    h = np.hypot(rho, x)                                   # v0 t
+    q = 2.0 * zeta + d + s
+    q = np.stack([(rho * rho + d * d) / q, q])
+    with np.errstate(divide="ignore"):
+        amp = 1.0 / (4.0 * math.pi * np.sqrt(2.0 * s * q))
+    a = E / scales.energy_epsF - rho * rho / (2.0 * scales.length_lF * (np.hypot(rho, d) + d))
+    a = np.where(caustic, 0.0, np.maximum(a, 0.0))         # -alpha+, 0 on the caustic
+    return _Paths(
+        n_paths=n_paths,
+        t_flight=h / v0,
+        launch_angle=np.arctan2(rho, x),
+        action_S=m * v0 * h * (6.0 * zeta + 2.0 * d - x) / (6.0 * zeta),
+        vanvleck_amp=amp,
+        maslov=np.broadcast_to(np.array([[0], [1]]), x.shape),
+        dphi=(4.0 / 3.0) * a * np.sqrt(a),
+    )
+
+
 def find_trajectories(target: SpacePoint, E: float, scales: FieldScales) -> TrajectorySet:
     """Solve the shooting problem to a detector point (z = -d < 0).
 
     Inside the allowed disk returns two members sorted by flight time;
-    exactly one degenerate member on the caustic; none outside. A failure
-    of the bracketing grid raises RootBracketError with diagnostics rather
-    than silently dropping roots.
+    exactly one degenerate member on the caustic (rho >= rho_max (1 - 1e-9));
+    none outside.
     """
-    if not E > 0.0:
-        raise ValueError("find_trajectories requires E > 0")
-    if not target.z < 0.0:
-        raise ValueError("target must lie below the source (z < 0)")
-    d = -target.z
-    m, v0, g = _kinematics(E, scales, d)
-    rmax = rho_max(E, scales, d)
-    rho_t = target.rho
-
-    if rho_t > rmax * (1.0 + 1e-12):
-        return TrajectorySet(target=target, members=(), caustic_flag=False)
-
-    if rho_t >= rmax * (1.0 - 1e-9):
-        # tangent trajectory: the arrival radius is stationary in theta
-        theta_c = _golden_max(lambda th: _shoot(th, v0, g, d), 0.0, 0.5 * math.pi)
-        t_c = float(_flight_time(theta_c, v0, g, d))
-        traj = _build_trajectory(theta_c, t_c, target, E, scales, d, maslov=0)
-        return TrajectorySet(target=target, members=(traj,), caustic_flag=True)
-
-    if rho_t == 0.0:
-        # 1-D kinematics: straight down (early) and straight up (late)
-        t_dn = (-v0 + math.sqrt(v0 * v0 + 2.0 * g * d)) / g
-        t_up = (v0 + math.sqrt(v0 * v0 + 2.0 * g * d)) / g
-        members = (
-            _build_trajectory(math.pi, t_dn, target, E, scales, d, maslov=0),
-            _build_trajectory(0.0, t_up, target, E, scales, d, maslov=1),
+    # a 1-element array, not a 0-d one, so the bits equal those of a batch call
+    p = _two_paths(np.array([target.rho]), -target.z, E, scales)
+    n = int(p.n_paths[0])
+    members = tuple(
+        Trajectory(
+            t_flight=float(p.t_flight[k, 0]),
+            launch_angle=float(p.launch_angle[k, 0]),
+            action_S=float(p.action_S[k, 0]),
+            vanvleck_amp=float(p.vanvleck_amp[k, 0]),
+            maslov=int(p.maslov[k, 0]),
         )
-        return TrajectorySet(target=target, members=members, caustic_flag=False)
-
-    thetas = np.linspace(0.0, math.pi, _THETA_CELLS + 1)
-    resid = _shoot(thetas, v0, g, d) - rho_t
-    sign_change = np.nonzero(resid[:-1] * resid[1:] < 0.0)[0]
-    if len(sign_change) != 2:
-        raise RootBracketError(
-            f"expected 2 bracketed launch angles, grid found {len(sign_change)} "
-            f"(rho={rho_t:.6e} m, rho_max={rmax:.6e} m, cells={_THETA_CELLS})"
-        )
-    roots = []
-    fn = lambda th: float(_shoot(th, v0, g, d)) - rho_t
-    for i in sign_change:
-        roots.append(_polish(fn, float(thetas[i]), float(thetas[i + 1]),
-                             float(resid[i]), float(resid[i + 1])))
-    trajs = []
-    for theta in roots:
-        t = float(_flight_time(theta, v0, g, d))
-        # conjugate point (envelope touch) occurs at v0/(g cos theta)
-        conj = (math.cos(theta) > 0.0) and (v0 / (g * math.cos(theta)) < t)
-        trajs.append(_build_trajectory(theta, t, target, E, scales, d, maslov=1 if conj else 0))
-    trajs.sort(key=lambda tr: tr.t_flight)
-    return TrajectorySet(target=target, members=tuple(trajs), caustic_flag=False)
-
-
-def _golden_max(f, lo, hi, iters=200):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d_ = a + phi * (b - a)
-    fc, fd = f(c), f(d_)
-    for _ in range(iters):
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + phi * (b - a)
-            fd = f(d_)
-        if (b - a) < 1e-14 * math.pi:
-            break
-    return 0.5 * (a + b)
+        for k in range(n)
+    )
+    return TrajectorySet(target=target, members=members, caustic_flag=n == 1)
 
 
 def _action_closed(E, scales, theta, t):
@@ -204,42 +195,12 @@ def _action_closed(E, scales, theta, t):
     return 2.0 * E * t - F * vz0 * t * t + (F * F / (3.0 * m)) * t**3
 
 
-def _amp_ratio_axis(v0, t):
-    """sin(theta)/(rho_f |d rho_f/d theta|) limit on the axis: 1/(v0 t)^2."""
-    return 1.0 / (v0 * t) ** 2
-
-
-def _build_trajectory(theta, t, target, E, scales, d, maslov):
-    m, v0, g = _kinematics(E, scales, d)
-    W = _action_closed(E, scales, theta, t)
-
-    # flux-tube amplitude from the shooting-map Jacobian
-    if target.rho < 1e-9 * d or theta in (0.0, math.pi):
-        ratio = _amp_ratio_axis(v0, t)
-    else:
-        h = _FD_THETA
-        drho = (float(_shoot(theta + h, v0, g, d)) - float(_shoot(theta - h, v0, g, d))) / (2.0 * h)
-        ratio = math.sin(theta) / (target.rho * abs(drho))
-    vz_f = v0 * math.cos(theta) - g * t
-    v_f = math.sqrt(v0 * v0 + 2.0 * g * d)       # energy conservation at z=-d
-    cos_alpha = abs(vz_f) / v_f
-    # |A| = (1/4 pi) sqrt( (v0/v_f) * ratio / cos_alpha ), lengths in meters
-    amp = math.sqrt((v0 / v_f) * ratio / cos_alpha) / (4.0 * math.pi)
-    return Trajectory(
-        t_flight=t,
-        launch_angle=theta,
-        action_S=W,
-        vanvleck_amp=amp,
-        maslov=maslov,
-    )
-
-
 def action_along(traj: Trajectory, target: SpacePoint, E: float, scales: FieldScales) -> float:
     """Closed-form reduced action of a trajectory returned by the solver."""
     d = -target.z
     if not d > 0.0:
         raise ValueError("target must lie below the source")
-    m, v0, g = _kinematics(E, scales, d)
+    m, v0, g = _kinematics(E, scales)
     # consistency: the trajectory must land on the target
     t = traj.t_flight
     z_end = v0 * math.cos(traj.launch_angle) * t - 0.5 * g * t * t
@@ -257,7 +218,7 @@ def action_quadrature(traj: Trajectory, target: SpacePoint, E: float, scales: Fi
     error near 1e-10 relative.
     """
     d = -target.z
-    m, v0, g = _kinematics(E, scales, d)
+    m, v0, g = _kinematics(E, scales)
     F = scales.force_F
     t = np.linspace(0.0, traj.t_flight, n_samples)
     z = v0 * math.cos(traj.launch_angle) * t - 0.5 * g * t * t
@@ -290,7 +251,7 @@ def resimulate_endpoint(traj: Trajectory, E: float, scales: FieldScales, d: floa
     RK4 is exact for constant acceleration up to roundoff, so this is a
     genuine independent check of the root solve, not of the integrator.
     """
-    m, v0, g = _kinematics(E, scales, d)
+    m, v0, g = _kinematics(E, scales)
     state = np.array([0.0, 0.0, v0 * math.sin(traj.launch_angle), v0 * math.cos(traj.launch_angle)])
 
     def deriv(s):
@@ -306,27 +267,34 @@ def resimulate_endpoint(traj: Trajectory, E: float, scales: FieldScales, d: floa
     return state[0], state[1]   # (rho, z) at t_flight
 
 
-def semiclassical_wave(target: SpacePoint, E: float, scales: FieldScales) -> complex:
-    """Coherent two-path sum G_sc = -Sum |A_i| e^{i(W_i/hbar - maslov_i pi/2)}.
+def semiclassical_profile(rho, d: float, E: float, scales: FieldScales) -> np.ndarray:
+    """Coherent two-path sum G_sc = -Sum |A_i| e^{i(W_i/hbar - maslov_i pi/2)}
+    at every radius of the 1-D array `rho` on the plane z = -d.
 
     Same (hbar^2/2m)-normalization as green_energy, so |G_sc|^2 compares
-    directly with |green_energy(...).value|^2. Refuses targets outside the
-    allowed disk or within the caustic exclusion band (2% of rho_max),
-    where the stationary-phase amplitudes lose meaning.
+    directly with |green_energy(...).value|^2. The late path's phase is the
+    early path's plus the closed-form phase difference. Raises ValueError,
+    naming the first such radius, for radii outside the allowed disk or
+    within the caustic exclusion band (2% of rho_max), where the
+    stationary-phase amplitudes lose meaning.
     """
-    d = -target.z
-    rmax = rho_max(E, scales, d)
-    if target.rho > rmax * (1.0 - CAUSTIC_BAND):
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1:
+        raise ValueError("semiclassical_profile takes a 1-D array of radii")
+    limit = (1.0 - CAUSTIC_BAND) * rho_max(E, scales, d)
+    band = np.nonzero(rho > limit)[0]
+    if band.size:
         raise ValueError(
-            f"semiclassical_wave: target within the caustic band "
-            f"(rho = {target.rho:.4e}, limit {(1.0 - CAUSTIC_BAND) * rmax:.4e})"
+            f"semiclassical wave: radius {rho[band[0]]:.4e} m is within the caustic "
+            f"band or outside the disk (limit {limit:.4e} m)"
         )
-    tset = find_trajectories(target, E, scales)
-    if len(tset.members) != 2:
-        raise RootBracketError("expected the two-path region")
-    hbar = scales.constants.hbar
-    total = 0.0j
-    for tr in tset.members:
-        phase = math.fmod(tr.action_S / hbar, 2.0 * math.pi) - tr.maslov * 0.5 * math.pi
-        total += tr.vanvleck_amp * np.exp(1j * phase)
-    return complex(-total)
+    p = _two_paths(rho, d, E, scales)
+    early = np.fmod(p.action_S[0] / scales.constants.hbar, 2.0 * math.pi)
+    phase = np.stack([early, early + p.dphi]) - 0.5 * math.pi * p.maslov
+    w = p.vanvleck_amp * np.exp(1j * phase)
+    return -(w[0] + w[1])
+
+
+def semiclassical_wave(target: SpacePoint, E: float, scales: FieldScales) -> complex:
+    """semiclassical_profile at one detector point (z < 0)."""
+    return complex(semiclassical_profile(np.array([target.rho]), -target.z, E, scales)[0])

@@ -25,7 +25,7 @@ import numpy as np
 from . import classical, detector, spectro, units
 from .exceptions import (ConfigError, FitConvergenceError, NumericsError, OutputError,
                          PdmicroError)
-from .green import SourceKind, SourceModel, SpacePoint, _closed_eval
+from .green import SourceKind, SourceModel, _closed_eval
 
 __all__ = ["RunConfig", "parse_config", "run_subcommand", "main", "SUBCOMMANDS"]
 
@@ -404,11 +404,11 @@ def _run_compare_semiclassical(cfg: RunConfig, created):
     l = scales.length_lF
     g = _closed_eval(rhos / l, np.full_like(rhos, -d) / l, 0.0, 0.0,
                      E / scales.energy_epsF)["g"]
+    g_sc = classical.semiclassical_profile(rhos, d, E, scales)
     rows = []
-    for rho, g_i in zip(rhos, g):
-        p = SpacePoint(float(rho), -d)
+    for rho, g_i, g_sc_i in zip(rhos, g, g_sc):
         j_ex = abs(complex(g_i) / l) ** 2
-        j_sc = abs(classical.semiclassical_wave(p, E, scales)) ** 2
+        j_sc = abs(complex(g_sc_i)) ** 2
         rows.append((rho, j_ex, j_sc, (j_sc - j_ex) / j_ex))
     meta = _metadata_lines(cfg, scales, extra=[f"# rho_max_m = {_fmt(rmax)}"])
     _write_csv(cfg.output_prefix + "_compare.csv", meta, "rho_m,j_exact,j_semi,rel_err",
@@ -471,6 +471,8 @@ def main(argv=None) -> int:
         return 4
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "diagnostics", {}).items():
+            print(f"  {key} = {value}", file=sys.stderr)
         return 3
     except PdmicroError as exc:
         print(f"error: {exc}", file=sys.stderr)

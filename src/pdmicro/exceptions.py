@@ -25,10 +25,6 @@ class QuadratureError(NumericsError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class RootBracketError(NumericsError):
-    """Root finding failed to bracket or polish a required root."""
-
-
 class OutputError(PdmicroError):
     """An output artifact could not be written."""
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmicro import green
+from pdmicro import green, units
+from pdmicro import classical
 from pdmicro.classical import (
+    Trajectory,
     action_along,
     action_quadrature,
     central_phase_difference,
@@ -13,6 +15,7 @@ from pdmicro.classical import (
     fringe_count_estimate,
     resimulate_endpoint,
     rho_max,
+    semiclassical_profile,
     semiclassical_wave,
 )
 from pdmicro.green import SpacePoint
@@ -252,3 +255,123 @@ class TestSemiclassics:
             s2 = m * R2 / T**3 - F**2 * T / (4.0 * m)
             amp_sp = math.sqrt(m) / (4.0 * math.pi * T**1.5 * math.sqrt(abs(s2)))
             assert_allclose(tr.vanvleck_amp, amp_sp, rtol=1e-5)
+
+
+ORACLE_DS = (1e-5, 1e-3, 0.5)
+ORACLE_UEV = (50.0, 200.0, 400.0)
+FIELDS = ("t_flight", "launch_angle", "action_S", "vanvleck_amp", "maslov")
+
+
+def _core(scales, d, ueV, n=50, top=0.999):
+    E = units.convert_energy(ueV, "ueV", "J")
+    rho = np.linspace(0.0, top, n) * rho_max(E, scales, d)
+    return E, rho, classical._two_paths(rho, d, E, scales)
+
+
+def _trajectory(paths, k, i):
+    return Trajectory(*(getattr(paths, f)[k, i].item() for f in FIELDS))
+
+
+class TestVectorizedCore:
+    """The closed-form array core against the independent oracles."""
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("ueV", ORACLE_UEV)
+    def test_oracles(self, scales, d, ueV):
+        E, rho, p = _core(scales, d, ueV)
+        assert np.all(p.n_paths == 2)
+        m, F = scales.constants.m_e, scales.force_F
+        for i, r in enumerate(rho):
+            target = SpacePoint(float(r), -d)
+            for k in range(2):
+                tr = _trajectory(p, k, i)
+                # RK4 is exact for constant acceleration, so few steps suffice
+                rho_end, z_end = resimulate_endpoint(tr, E, scales, d, n_steps=64)
+                assert abs(rho_end - r) <= 1e-9 * d and abs(z_end + d) <= 1e-9 * d
+                w_quad = action_quadrature(tr, target, E, scales)
+                assert abs(w_quad - tr.action_S) <= 1e-8 * tr.action_S
+                T = tr.t_flight
+                s2 = m * (r * r + d * d) / T**3 - F**2 * T / (4.0 * m)
+                amp_sp = math.sqrt(m) / (4.0 * math.pi * T**1.5 * math.sqrt(abs(s2)))
+                assert abs(tr.vanvleck_amp - amp_sp) <= 1e-8 * amp_sp
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    def test_batch_equals_scalar_calls(self, scales, d):
+        for ueV in ORACLE_UEV:
+            E, rho, p = _core(scales, d, ueV)
+            for i, r in enumerate(rho):
+                ts = find_trajectories(SpacePoint(float(r), -d), E, scales)
+                assert ts.members == tuple(_trajectory(p, k, i) for k in range(2))
+
+    def test_axis_entry_equals_scalar_axis_result(self, scales, E_r1):
+        rm = rho_max(E_r1, scales, D)
+        p = classical._two_paths(np.array([0.3 * rm, 0.0, 0.6 * rm]), D, E_r1, scales)
+        axis = find_trajectories(SpacePoint(0.0, -D), E_r1, scales)
+        assert axis.members == (_trajectory(p, 0, 1), _trajectory(p, 1, 1))
+        assert (axis.members[0].launch_angle, axis.members[1].launch_angle) == (math.pi, 0.0)
+
+    def test_caustic_and_outside_entries(self, scales, E_r1):
+        rm = rho_max(E_r1, scales, D)
+        fracs = np.array([1.0 - 2e-9, 1.0 - 1e-9, 1.0 - 1e-10, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, 1.5])
+        with np.errstate(all="raise"):
+            p = classical._two_paths(fracs * rm, D, E_r1, scales)
+        assert p.n_paths.tolist() == [2, 1, 1, 1, 1, 0, 0]
+        # no NaN from a negative discriminant, and the degenerate root has dphi = 0
+        for f in p[1:]:
+            assert not np.any(np.isnan(f))
+        assert np.all(p.dphi[1:] == 0.0) and p.dphi[0] > 0.0
+        for f, n in zip(fracs, p.n_paths):
+            ts = find_trajectories(SpacePoint(float(f * rm), -D), E_r1, scales)
+            assert len(ts.members) == n and ts.caustic_flag == (n == 1)
+
+    def test_profile_refuses_caustic_band_naming_the_radius(self, scales, E_r1):
+        rm = rho_max(E_r1, scales, D)
+        rho = np.array([0.1, 0.5, 0.985, 0.99, 1.5]) * rm
+        with pytest.raises(ValueError, match=f"radius {rho[2]:.4e} m"):
+            semiclassical_profile(rho, D, E_r1, scales)
+        with pytest.raises(ValueError, match=f"radius {rho[4]:.4e} m"):
+            semiclassical_profile(rho[[0, 4]], D, E_r1, scales)
+        with pytest.raises(ValueError):
+            semiclassical_profile(np.array([0.1 * rm, np.nan]), D, E_r1, scales)
+        with pytest.raises(ValueError):
+            semiclassical_profile(np.array([-1e-6]), D, E_r1, scales)
+
+    def test_profile_equals_scalar_waves(self, scales, E_r1):
+        rm = rho_max(E_r1, scales, D)
+        rho = np.linspace(0.0, 0.97, 101) * rm
+        g = semiclassical_profile(rho, D, E_r1, scales)
+        assert g.dtype == complex and g.shape == rho.shape
+        assert g.tolist() == [semiclassical_wave(SpacePoint(float(r), -D), E_r1, scales)
+                              for r in rho]
+
+    @pytest.mark.parametrize("E_scale", [0.0, -1.0])
+    def test_nonpositive_energy_rejected(self, scales, E_r1, E_scale):
+        E = E_scale * E_r1
+        with pytest.raises(ValueError):
+            find_trajectories(SpacePoint(1e-4, -D), E, scales)
+        with pytest.raises(ValueError):
+            semiclassical_wave(SpacePoint(1e-4, -D), E, scales)
+        with pytest.raises(ValueError):
+            semiclassical_profile(np.array([1e-4]), D, E, scales)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3])
+    def test_target_not_below_source_rejected(self, scales, E_r1, z):
+        with pytest.raises(ValueError):
+            find_trajectories(SpacePoint(1e-4, z), E_r1, scales)
+        with pytest.raises(ValueError):
+            semiclassical_wave(SpacePoint(1e-4, z), E_r1, scales)
+        with pytest.raises(ValueError):
+            semiclassical_profile(np.array([1e-4]), -z, E_r1, scales)
+
+    def test_phase_difference_on_axis_is_central_value(self, scales, E_r1):
+        p = classical._two_paths(np.array([0.0]), D, E_r1, scales)
+        dphi = central_phase_difference(E_r1, scales)
+        assert abs(p.dphi[0] - dphi) <= 1e-12 * dphi
+
+    @pytest.mark.parametrize("d", (1e-5, 1e-3))
+    def test_phase_difference_matches_action_subtraction(self, scales, d):
+        # at microscopic d the two actions subtract with full precision
+        for ueV in ORACLE_UEV:
+            _, _, p = _core(scales, d, ueV)
+            dw = (p.action_S[1] - p.action_S[0]) / scales.constants.hbar
+            assert np.max(np.abs(dw - p.dphi)) <= 1e-8 * np.max(p.dphi)

@@ -6,7 +6,7 @@ import pytest
 
 from pdmicro import cli, units
 from pdmicro.cli import main, parse_config
-from pdmicro.exceptions import ConfigError
+from pdmicro.exceptions import ConfigError, QuadratureError
 
 R1_PROFILE = """\
 field_V_per_m = 400
@@ -295,6 +295,22 @@ class TestExitCodesAndCleanup:
         assert main(["profile", path]) == 3
         assert not (tmp_path / "p_profile.csv").exists()
         assert not (tmp_path / "p_fringes.csv").exists()
+
+    def test_quadrature_diagnostics_reach_stderr(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def failing_runner(cfg, created):
+            raise QuadratureError("panels did not converge",
+                                  {"panels": 4096, "growth": 2.5e+17})
+
+        monkeypatch.setitem(cli._RUNNERS, "profile", failing_runner)
+        path = _write(tmp_path, "r1.cfg", R1_PROFILE.format(prefix="q"))
+        assert main(["profile", path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: panels did not converge",
+            "  panels = 4096",
+            "  growth = 2.5e+17",
+        ]
 
     def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
