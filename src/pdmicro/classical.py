@@ -186,17 +186,8 @@ def find_trajectories(target: SpacePoint, E: float, scales: FieldScales) -> Traj
     return TrajectorySet(target=target, members=members, caustic_flag=n == 1)
 
 
-def _action_closed(E, scales, theta, t):
-    """Reduced action W = Int p dl = Int m v^2 dt in closed form (cubic in t)."""
-    m = scales.constants.m_e
-    F = scales.force_F
-    v0 = math.sqrt(2.0 * E / m)
-    vz0 = v0 * math.cos(theta)
-    return 2.0 * E * t - F * vz0 * t * t + (F * F / (3.0 * m)) * t**3
-
-
 def action_along(traj: Trajectory, target: SpacePoint, E: float, scales: FieldScales) -> float:
-    """Closed-form reduced action of a trajectory returned by the solver."""
+    """Reduced action W = Int m v^2 dt of a trajectory, in closed form (cubic in t)."""
     d = -target.z
     if not d > 0.0:
         raise ValueError("target must lie below the source")
@@ -207,7 +198,8 @@ def action_along(traj: Trajectory, target: SpacePoint, E: float, scales: FieldSc
     rho_end = v0 * math.sin(traj.launch_angle) * t
     if abs(z_end + d) > 1e-6 * d or abs(rho_end - target.rho) > 1e-6 * max(d, target.rho):
         raise ValueError("trajectory does not land on the given target")
-    return _action_closed(E, scales, traj.launch_angle, t)
+    F, vz0 = scales.force_F, v0 * math.cos(traj.launch_angle)
+    return 2.0 * E * t - F * vz0 * t * t + (F * F / (3.0 * m)) * t**3
 
 
 def action_quadrature(traj: Trajectory, target: SpacePoint, E: float, scales: FieldScales,
