@@ -1,16 +1,14 @@
 """Real-argument Airy functions Ai, Bi, their derivatives, and Ci = Bi + i*Ai.
 
-The fast evaluator `airy` is built from scratch in five regions:
+The fast evaluator `airy` is built from scratch in three regions:
 
-  x <= -12          trigonometric (phase-amplitude) asymptotic series
-  -12 <= x < -5     high-order Taylor marching from precomputed anchor nodes
-                    (the Maclaurin series loses ~7 digits to cancellation
-                    here, the asymptotic error floor is still ~1e-9)
-  -5 <= x < 2.5     Maclaurin series of the standard entire pair f, g
-  2.5 <= x < 12     Ai/Ai' by Taylor marching down from an asymptotic anchor
-                    at x=12 (the series cancels catastrophically for Ai at
-                    positive x); Bi/Bi' by the series, whose terms are all
-                    positive there
+  x < -12           trigonometric (phase-amplitude) asymptotic series
+  -12 <= x < 12     one 13-term Taylor step, for Ai and Bi together, from the
+                    nearest node of a table at spacing 1/16; the table is
+                    marched at import from the closed forms at x = 0 and the
+                    asymptotic Ai at x = 12, each function in a direction in
+                    which it does not decay (no power series about 0, which
+                    cancels catastrophically for Ai at positive x)
   x >= 12           exponential asymptotic series, exponent-scaled
 
 `airy_oracle` is an independent validation path: it evaluates the integral
@@ -41,11 +39,11 @@ _C1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _C2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
 
 _X_NEG_ASY = -12.0
-_X_NEG_SERIES = -5.0
-_X_POS_SERIES = 2.5
 _X_POS_ASY = 12.0
-_SERIES_TERMS = 44
-_TAYLOR_TERMS = 30
+_LADDER_STEP = 0.5
+_TABLE_STEP = 1.0 / 16.0
+_TAYLOR_TERMS = 30     # steps of up to 0.5 (ladders, table build)
+_TABLE_TERMS = 13      # steps of up to 1/32 from a table node
 _ASY_TERMS = 13
 # Bi ~ e^(2/3 x^(3/2))/(sqrt(pi) x^(1/4)) exceeds double range past this x.
 _X_BI_OVERFLOW = (1.5 * 700.0) ** (2.0 / 3.0)
@@ -85,47 +83,6 @@ class AiryValues:
 
 
 # ---------------------------------------------------------------------------
-# Maclaurin series.
-
-
-def _maclaurin(x):
-    """The entire solutions f, g of y'' = x y and their derivatives.
-
-    Ai = c1 f - c2 g, Bi = sqrt(3) (c1 f + c2 g).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x3 = x * x * x
-    f = np.ones_like(x)
-    tf = np.ones_like(x)
-    g = x.copy()
-    tg = x.copy()
-    fp = np.zeros_like(x)
-    tfp = 0.5 * x * x          # k = 1 term of f'
-    gp = np.ones_like(x)
-    tgp = np.ones_like(x)      # k = 0 term of g'
-    fp = fp + tfp
-    for k in range(_SERIES_TERMS):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        f = f + tf
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        g = g + tg
-        tfp = tfp * x3 * (k + 2) / ((k + 1) * (3 * k + 5) * (3 * k + 6))
-        fp = fp + tfp
-        tgp = tgp * x3 / ((3 * k + 1) * (3 * k + 3))
-        gp = gp + tgp
-    return f, fp, g, gp
-
-
-def _series_airy(x):
-    f, fp, g, gp = _maclaurin(x)
-    ai = _C1 * f - _C2 * g
-    aip = _C1 * fp - _C2 * gp
-    bi = _SQRT3 * (_C1 * f + _C2 * g)
-    bip = _SQRT3 * (_C1 * fp + _C2 * gp)
-    return ai, aip, bi, bip
-
-
-# ---------------------------------------------------------------------------
 # Taylor marching (y'' = x y advanced by local power series).
 
 
@@ -146,19 +103,6 @@ def _taylor_step(x0, h, y, yp, n_terms=_TAYLOR_TERMS):
         c_km3, c_km2, c_km1 = c_km2, c_km1, ck
         hkm1 = hkm1 * h
     return val, der
-
-
-def _build_ladder(x_anchor, x_stop, y, yp, step):
-    """March (y, y') over equally spaced nodes; returns nodes and values."""
-    n = int(round(abs(x_stop - x_anchor) / abs(step))) + 1
-    xs = x_anchor + step * np.arange(n)
-    ys = np.empty(n)
-    yps = np.empty(n)
-    ys[0], yps[0] = y, yp
-    for i in range(1, n):
-        v, d = _taylor_step(xs[i - 1], step, ys[i - 1], yps[i - 1])
-        ys[i], yps[i] = float(v), float(d)
-    return xs, ys, yps
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +176,53 @@ def _asy_neg(x):
 
 
 # ---------------------------------------------------------------------------
-# Ladder construction (module load time; ~35 scalar Taylor steps).
+# Node table (module load time: 24 Taylor steps of four ladders at once, then
+# one vectorized step to every node).
 
 
-def _init_ladders():
-    ai_a, aip_a, bi_a, bip_a = (float(v) for v in _series_airy(np.float64(_X_NEG_SERIES)))
-    xn, ai_n, aip_n = _build_ladder(_X_NEG_SERIES, _X_NEG_ASY, ai_a, aip_a, -0.5)
-    _, bi_n, bip_n = _build_ladder(_X_NEG_SERIES, _X_NEG_ASY, bi_a, bip_a, -0.5)
+def _build_table():
+    """Ai, Bi (rows) and their derivatives at the nodes -12 + k/16, k = 0..384.
 
-    ai_s, aip_s, _, _, zeta12 = (v for v in _asy_pos_scaled(np.float64(_X_POS_ASY)))
-    e12 = math.exp(-float(zeta12))
-    xp, ai_p, aip_p = _build_ladder(_X_POS_ASY, _X_POS_SERIES, float(ai_s) * e12, float(aip_s) * e12, -0.5)
-    return {
-        "neg_x": xn, "neg_ai": ai_n, "neg_aip": aip_n, "neg_bi": bi_n, "neg_bip": bip_n,
-        "pos_x": xp, "pos_ai": ai_p, "pos_aip": aip_p,
-    }
+    Four ladders at spacing 0.5 march together, each in a direction in which
+    its function dominates or neither does: Ai and Bi down from the closed
+    forms at 0, Bi up from 0, and Ai down from the asymptotic anchor at 12.
+    Each node then takes one step from its nearest ladder node; the node at
+    0 keeps the closed forms exactly.
+    """
+    ai_s, aip_s, _, _, zeta = _asy_pos_scaled(np.float64(_X_POS_ASY))
+    down = math.exp(-float(zeta))
+    h = np.array([-_LADDER_STEP, -_LADDER_STEP, _LADDER_STEP, -_LADDER_STEP])
+    x = np.array([0.0, 0.0, 0.0, _X_POS_ASY])
+    y = np.array([_C1, _SQRT3 * _C1, _SQRT3 * _C1, float(ai_s) * down])
+    yp = np.array([-_C2, _SQRT3 * _C2, _SQRT3 * _C2, float(aip_s) * down])
+    ys, yps = [y], [yp]
+    for _ in range(int(_X_POS_ASY / _LADDER_STEP)):
+        y, yp = _taylor_step(x, h, y, yp)
+        x = x + h
+        ys.append(y)
+        yps.append(yp)
+    ys, yps = np.array(ys), np.array(yps)     # (25, 4): step, ladder
+
+    def rows(c):   # (2, 49): Ai and Bi on the ladder nodes -12, -11.5, ..., 12
+        return np.stack([np.concatenate([c[::-1, 0], c[-2::-1, 3]]),
+                         np.concatenate([c[::-1, 1], c[1:, 2]])])
+
+    x_nodes = _X_NEG_ASY + _TABLE_STEP * np.arange(int(2 * _X_POS_ASY / _TABLE_STEP) + 1)
+    nearest = np.rint((x_nodes - _X_NEG_ASY) / _LADDER_STEP).astype(np.intp)
+    x_ladder = _X_NEG_ASY + _LADDER_STEP * nearest
+    y, yp = rows(ys), rows(yps)
+    return _taylor_step(x_ladder, x_nodes - x_ladder, y[:, nearest], yp[:, nearest])
 
 
-_LADDER = _init_ladders()
+_TABLE_Y, _TABLE_YP = _build_table()
 
 
-def _ladder_eval(x, nodes_x, *value_pairs):
-    """Taylor-evaluate from the nearest ladder node (spacing 0.5)."""
-    idx = np.clip(np.rint((x - nodes_x[0]) / (nodes_x[1] - nodes_x[0])).astype(int), 0, len(nodes_x) - 1)
-    x0 = nodes_x[idx]
-    h = x - x0
-    out = []
-    for ys, yps in value_pairs:
-        v, d = _taylor_step(x0, h, ys[idx], yps[idx])
-        out.append((v, d))
-    return out
+def _table_eval(x):
+    """(Ai, Bi) and (Ai', Bi') as (2, n) arrays for -12 <= x < 12, by one
+    Taylor step from the nearest table node."""
+    idx = np.rint((x - _X_NEG_ASY) * (1.0 / _TABLE_STEP)).astype(np.intp)
+    x0 = _X_NEG_ASY + _TABLE_STEP * idx
+    return _taylor_step(x0, x - x0, _TABLE_Y[:, idx], _TABLE_YP[:, idx], _TABLE_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +249,9 @@ def airy(x):
     m = xa < _X_NEG_ASY
     if m.any():
         ai[m], aip[m], bi[m], bip[m] = _asy_neg(xa[m])
-    m = (xa >= _X_NEG_ASY) & (xa < _X_NEG_SERIES)
+    m = (xa >= _X_NEG_ASY) & (xa < _X_POS_ASY)
     if m.any():
-        (pair_ai, pair_bi) = _ladder_eval(
-            xa[m], _LADDER["neg_x"],
-            (_LADDER["neg_ai"], _LADDER["neg_aip"]),
-            (_LADDER["neg_bi"], _LADDER["neg_bip"]),
-        )
-        ai[m], aip[m] = pair_ai
-        bi[m], bip[m] = pair_bi
-    m = (xa >= _X_NEG_SERIES) & (xa < _X_POS_SERIES)
-    if m.any():
-        ai[m], aip[m], bi[m], bip[m] = _series_airy(xa[m])
-    m = (xa >= _X_POS_SERIES) & (xa < _X_POS_ASY)
-    if m.any():
-        (pair_ai,) = _ladder_eval(
-            xa[m], _LADDER["pos_x"],
-            (_LADDER["pos_ai"], _LADDER["pos_aip"]),
-        )
-        ai[m], aip[m] = pair_ai
-        _, _, bi[m], bip[m] = _series_airy(xa[m])
+        (ai[m], bi[m]), (aip[m], bip[m]) = _table_eval(xa[m])
     m = xa >= _X_POS_ASY
     if m.any():
         ai_s, aip_s, bi_s, bip_s, zeta = _asy_pos_scaled(xa[m])
