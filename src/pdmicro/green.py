@@ -55,7 +55,6 @@ __all__ = [
     "green_energy",
     "green_energy_quad",
     "ldos_at_source",
-    "dipole_ldos_at_source",
     "source_wave",
     "free_green_value",
     "ldos_bracket_s",
@@ -444,18 +443,6 @@ def ldos_at_source(E: float, scales: FieldScales) -> float:
         raise ValueError("E must be finite")
     xi = -E / scales.energy_epsF
     return float(np.asarray(-ldos_bracket_s(xi)).reshape(-1)[0] / (4.0 * scales.length_lF))
-
-
-def dipole_ldos_at_source(E: float, scales: FieldScales) -> float:
-    """Im of the doubly differentiated coincidence limit for a z-dipole.
-
-    Im d^2 value / dz dz' at r = r', units 1/m^3; the dipole analog of
-    ldos_at_source.
-    """
-    if not math.isfinite(E):
-        raise ValueError("E must be finite")
-    xi = -E / scales.energy_epsF
-    return float(np.asarray(-ldos_bracket_pz(xi)).reshape(-1)[0] / (12.0 * scales.length_lF**3))
 
 
 _EXCLUSION = 1e-3  # source_wave exclusion ball, in units of l_F

@@ -73,11 +73,6 @@ class FieldScales:
     energy_epsF: float
     constants: PhysicalConstants = CODATA2018
 
-    @property
-    def time_tF(self) -> float:
-        """Natural time hbar / eps_F."""
-        return self.constants.hbar / self.energy_epsF
-
 
 def make_scales(electric_field: float, constants: PhysicalConstants = CODATA2018) -> FieldScales:
     """Build FieldScales from an electric field strength in V/m.

@@ -234,6 +234,30 @@ class TestSemiclassics:
         spacing = np.diff(m_ex).mean()
         assert np.max(np.abs(m_sc - m_ex)) <= 0.02 * spacing
 
+    @pytest.mark.parametrize("u", (10.0, 40.0))
+    @pytest.mark.parametrize("frac", (0.2, 0.4, 0.6))
+    def test_absolute_phase_against_quadrature_actions(self, scales, u, frac):
+        # at microscopic d the two-path sum rebuilt from quadrature actions
+        # pins the absolute phase, not only the phase difference
+        E = u * scales.energy_epsF
+        d = 1e-5
+        p = SpacePoint(frac * rho_max(E, scales, d), -d)
+        hbar = scales.constants.hbar
+        g_quad = -sum(
+            tr.vanvleck_amp * np.exp(1j * (action_quadrature(tr, p, E, scales) / hbar
+                                           - 0.5 * math.pi * tr.maslov))
+            for tr in find_trajectories(p, E, scales).members
+        )
+        assert abs(np.angle(semiclassical_wave(p, E, scales) / g_quad)) <= 1e-6
+
+    @pytest.mark.parametrize("u", (10.0, 40.0))
+    @pytest.mark.parametrize("frac", (0.2, 0.4, 0.6))
+    def test_absolute_phase_against_exact_wave(self, scales, u, frac):
+        E = u * scales.energy_epsF
+        p = SpacePoint(frac * rho_max(E, scales, D), -D)
+        g_exact = green.green_energy(p, SpacePoint(0.0, 0.0), E, scales).value
+        assert abs(np.angle(semiclassical_wave(p, E, scales) / g_exact)) <= 1e-4
+
     def test_refuses_caustic_band_and_outside(self, scales, E_r1):
         rm = rho_max(E_r1, scales, D)
         with pytest.raises(ValueError):

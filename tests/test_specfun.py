@@ -87,6 +87,21 @@ class TestFastPath:
             airy(math.nan)
 
 
+    def test_dense_grid_against_scipy(self):
+        # a third, independent oracle on the whole table range, plus both
+        # sides of every half-node, where the Taylor step is longest
+        special = pytest.importorskip("scipy.special")
+        half = -12.0 + (np.arange(384) + 0.5) / 16.0
+        x = np.concatenate([np.linspace(-12.0, 12.0, 400001), half - 1e-12, half + 1e-12])
+        m = airy(x)
+        ai, aip, bi, bip = special.airy(x)
+        for got, ref, env in ((m.ai, ai, np.hypot(ai, bi)), (m.bi, bi, np.hypot(ai, bi)),
+                              (m.aip, aip, np.hypot(aip, bip)), (m.bip, bip, np.hypot(aip, bip))):
+            # envelope-relative on x < 0, where Ai and Bi have zeros; relative on x >= 0
+            scale = np.where(x < 0.0, env, np.abs(ref))
+            assert np.max(np.abs(got - ref) / scale) <= 2e-13
+
+
 class TestOracle:
     def test_origin_closed_forms(self):
         v = airy_oracle(0.0)
