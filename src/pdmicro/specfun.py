@@ -218,8 +218,11 @@ _TABLE_Y, _TABLE_YP = _build_table()
 
 
 def _table_eval(x):
-    """(Ai, Bi) and (Ai', Bi') as (2, n) arrays for -12 <= x < 12, by one
-    Taylor step from the nearest table node."""
+    """(Ai, Bi) and (Ai', Bi'), each a (2, n) array, for -12 <= x < 12.
+
+    One Taylor step from the nearest table node, so each value depends on
+    its own x only.
+    """
     idx = np.rint((x - _X_NEG_ASY) * (1.0 / _TABLE_STEP)).astype(np.intp)
     x0 = _X_NEG_ASY + _TABLE_STEP * idx
     return _taylor_step(x0, x - x0, _TABLE_Y[:, idx], _TABLE_YP[:, idx], _TABLE_TERMS)

@@ -86,7 +86,6 @@ class TestFastPath:
         with pytest.raises(ValueError):
             airy(math.nan)
 
-
     def test_dense_grid_against_scipy(self):
         # a third, independent oracle on the whole table range, plus both
         # sides of every half-node, where the Taylor step is longest
