@@ -277,10 +277,9 @@ def _pool_map(fn, items, workers):
 
 
 def _sweep_worker(args):
-    hnu, ctx = args
-    return spectro.run_sweep([hnu], ctx["E0"], ctx["src"], ctx["scales"], ctx["plane"],
-                             n_samples=ctx["n_samples"], noise_percent=ctx["noise"],
-                             seed=ctx["seed"])[0]
+    index, hnu, ctx = args
+    return spectro._sweep_point(hnu, ctx["E0"], ctx["src"], ctx["scales"], ctx["plane"],
+                                ctx["n_samples"], ctx["noise"], ctx["seed"], index)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +354,7 @@ def _sweep_points(cfg: RunConfig, scales, src):
     workers = cfg.workers or _usable_cpus()
     ctx = {"E0": E0, "src": src, "scales": scales, "plane": plane,
            "n_samples": cfg.profile_samples, "noise": cfg.noise_percent, "seed": cfg.seed}
-    pts = _pool_map(_sweep_worker, [(h, ctx) for h in hnus], workers)
-    return pts
+    return _pool_map(_sweep_worker, [(i, h, ctx) for i, h in enumerate(hnus)], workers)
 
 
 def _sweep_rows(pts):

@@ -228,39 +228,48 @@ def count_fringes(profile: RadialProfile, scales: FieldScales | None = None) -> 
     if not jmax > 0.0:
         return FringeReport(0, (), _rho_max_meta(profile, scales))
 
-    peaks = []
-    for i in range(n):
-        left = j[i - 1] if i > 0 else -math.inf
-        right = j[i + 1] if i < n - 1 else -math.inf
-        if j[i] > left and j[i] > right:
-            peaks.append(i)
-    maxima = []
-    for i in peaks:
-        # prominence: descent to the shallower col separating i from higher
-        # ground; a grid edge does not constrain its side
-        if i == 0:
-            left_base = -math.inf
-        else:
-            lo = j[i]
-            for k in range(i - 1, -1, -1):
-                lo = min(lo, j[k])
-                if j[k] > j[i]:
-                    break
-            left_base = lo
-        if i == n - 1:
-            right_base = -math.inf
-        else:
-            lo = j[i]
-            for k in range(i + 1, n):
-                lo = min(lo, j[k])
-                if j[k] > j[i]:
-                    break
-            right_base = lo
-        prominence = j[i] - max(left_base, right_base)
-        if prominence >= 0.05 * jmax:
-            maxima.append(i)
+    # strict local maxima; a grid edge counts as lower ground beyond the grid
+    edge = np.array([-math.inf])
+    peaks = np.flatnonzero((j > np.concatenate((edge, j[:-1])))
+                           & (j > np.concatenate((j[1:], edge))))
+    # prominence: descent to the shallower col separating a peak from higher
+    # ground; a grid edge does not constrain its side
+    left = _col_floor(j, peaks)
+    right = _col_floor(j[::-1], n - 1 - peaks)
+    maxima = peaks[j[peaks] - np.maximum(left, right) >= 0.05 * jmax]
     maxima_rho = tuple(float(rho[i]) for i in maxima)
     return FringeReport(len(maxima), maxima_rho, _rho_max_meta(profile, scales))
+
+
+def _col_floor(j, peaks):
+    """Lowest j between each peak and the nearest higher sample to its left.
+
+    Without a higher sample the floor is the minimum from the grid start; a
+    peak on the first sample has no left side, so its floor is -inf. Sparse
+    min/max tables over windows of 2^l samples make each query a few array
+    operations: binary lifting finds the run of samples <= the peak that
+    ends at it, and two overlapping windows give the minimum over that run.
+    """
+    n = len(j)
+    levels = max(1, n.bit_length())
+    wmax = np.full((levels, n), math.inf)   # wmax[l, i] = max j[i:i + 2^l]
+    wmin = np.full((levels, n), math.inf)
+    wmax[0] = wmin[0] = j
+    for l in range(1, levels):
+        w = 1 << (l - 1)
+        wmax[l, :n - w] = np.maximum(wmax[l - 1, :n - w], wmax[l - 1, w:])
+        wmin[l, :n - w] = np.minimum(wmin[l - 1, :n - w], wmin[l - 1, w:])
+    height = j[peaks]
+    start = peaks.copy()
+    for l in range(levels - 1, -1, -1):
+        s = start - (1 << l)
+        ok = s >= 0
+        ok[ok] = wmax[l, s[ok]] <= height[ok]
+        start[ok] = s[ok]
+    span = peaks - start + 1
+    l = np.frexp(span)[1] - 1                # floor(log2(span))
+    floor = np.minimum(wmin[l, start], wmin[l, peaks + 1 - (1 << l)])
+    return np.where(peaks == 0, -math.inf, floor)
 
 
 def _rho_max_meta(profile: RadialProfile, scales) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._quad import adaptive_quad
 
-__all__ = ["AiryValues", "airy", "airy_oracle", "airy_scaled", "ci_factored"]
+__all__ = ["AiryValues", "airy", "airy_oracle", "airy_scaled", "airy_zeros", "ci_factored"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
@@ -45,6 +45,7 @@ _TABLE_STEP = 1.0 / 16.0
 _TAYLOR_TERMS = 30     # steps of up to 0.5 (ladders, table build)
 _TABLE_TERMS = 13      # steps of up to 1/32 from a table node
 _ASY_TERMS = 13
+_ZERO_NEWTON_MAX = 10  # Newton steps of airy_zeros; it takes at most 4
 # Bi ~ e^(2/3 x^(3/2))/(sqrt(pi) x^(1/4)) exceeds double range past this x.
 _X_BI_OVERFLOW = (1.5 * 700.0) ** (2.0 / 3.0)
 _BI_SATURATION = np.finfo(np.float64).max
@@ -293,6 +294,37 @@ def airy_scaled(x):
         ai_s[~m], aip_s[~m] = plain.ai, plain.aip
         bi_s[~m], bip_s[~m] = plain.bi, plain.bip
     return ai_s, aip_s, bi_s, bip_s, expo
+
+
+def airy_zeros(n: int):
+    """The first n zeros of Ai and of Ai', each as an array going away from 0.
+
+    Newton's method on `airy`, started from the leading terms of the
+    asymptotic series (A&S 10.4.94-95); Ai'' = x Ai gives the Newton step
+    for the zeros of Ai'. Computed per call: no table is kept.
+    """
+    if n < 1:
+        raise ValueError("airy_zeros needs n >= 1")
+    k = np.arange(1, n + 1, dtype=np.float64)
+    t = np.concatenate([3.0 * math.pi * (4.0 * k - 1.0) / 8.0,    # Ai
+                        3.0 * math.pi * (4.0 * k - 3.0) / 8.0])   # Ai'
+    c2 = np.repeat([5.0 / 48.0, -7.0 / 48.0], n)
+    c4 = np.repeat([-5.0 / 36.0, 35.0 / 288.0], n)
+    x = -t ** (2.0 / 3.0) * (1.0 + c2 / t**2 + c4 / t**4)
+    # Newton converges quadratically: after a step below 1e-8 |x| the
+    # error left is at rounding level, so that zero is done
+    todo = np.arange(2 * n)
+    for _ in range(_ZERO_NEWTON_MAX):
+        v = airy(x[todo])
+        is_ai = todo < n
+        step = np.empty_like(v.ai)
+        step[is_ai] = v.ai[is_ai] / v.aip[is_ai]
+        step[~is_ai] = v.aip[~is_ai] / (x[todo][~is_ai] * v.ai[~is_ai])
+        x[todo] -= step
+        todo = todo[np.abs(step) > 1e-8 * np.abs(x[todo])]
+        if not todo.size:
+            break
+    return x[:n], x[n:]
 
 
 def ci_factored(x):

@@ -190,6 +190,45 @@ class TestSubcommands:
         e0_rec = float(e0_line.split("=")[1])
         assert abs(e0_rec - E0) / E0 <= 2e-3
 
+    def test_pz_sweep_lands_in_the_true_basin(self, tmp_path, monkeypatch):
+        # a scan alone lands these two in neighbouring basins (247.1 and
+        # 233.0 ueV, exit 0)
+        monkeypatch.chdir(tmp_path)
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nphoton_eV = 1.46143,1.46145\n"
+               "binding_eV = 1.4612\nsource_kind = pz\nprofile_samples = 600\n"
+               "workers = 1\noutput_prefix = pz\n")
+        assert main(["sweep", _write(tmp_path, "pz.cfg", cfg)]) == 0
+        lines = (tmp_path / "pz_sweep.csv").read_text().splitlines()
+        rows = [[float(v) for v in l.split(",")]
+                for l in lines[lines.index("hnu_eV,E_true_eV,E_fit_eV,residual") + 1:]]
+        assert [round(r[1] * 1e6, 6) for r in rows] == [230.0, 250.0]
+        for _, e_true, e_fit, _ in rows:
+            assert abs(e_fit / e_true - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noisy_sweep_equals_library_run_sweep(self, tmp_path, monkeypatch, workers):
+        monkeypatch.chdir(tmp_path)
+        from pdmicro import classical, detector, spectro
+        from pdmicro.green import SourceKind, SourceModel
+        scales = units.make_scales(400.0)
+        E0 = 1.4612
+        hnus = [float(E0 + u * scales.energy_epsF / units.EV) for u in (3.0, 7.0, 11.0, 15.0)]
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\n"
+               f"photon_eV = {','.join(repr(h) for h in hnus)}\n"
+               f"binding_eV = {E0}\nprofile_samples = 400\nnoise_percent = 1.0\n"
+               f"seed = 42\nworkers = {workers}\noutput_prefix = n\n")
+        assert main(["sweep", _write(tmp_path, "n.cfg", cfg)]) == 0
+        lines = (tmp_path / "n_sweep.csv").read_text().splitlines()
+        e_fit = [float(l.split(",")[2])
+                 for l in lines[lines.index("hnu_eV,E_true_eV,E_fit_eV,residual") + 1:]]
+        E0_J = E0 * units.EV
+        hnus_J = [h * units.EV for h in hnus]
+        plane = detector.DetectorPlane(
+            d=0.5, extent=1.25 * classical.rho_max(max(hnus_J) - E0_J, scales, 0.5), n=16)
+        pts = spectro.run_sweep(hnus_J, E0_J, SourceModel(SourceKind.S_WAVE, 1.0), scales,
+                                plane, n_samples=400, noise_percent=1.0, seed=42)
+        assert e_fit == [p.E_fit / units.EV for p in pts]
+
     def test_compare_semiclassical_schema(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nenergy_ueV = 200\n"

@@ -55,7 +55,76 @@ class TestCurrentDensity:
         assert_allclose(j2, 1e-8 * j1, rtol=1e-12)
 
 
+def _loop_maxima(j):
+    """Reference fringe maxima: the two-loop prominence search that
+    count_fringes ran before it was vectorized, kept as it was."""
+    n = len(j)
+    jmax = float(j.max())
+    if not jmax > 0.0:
+        return ()
+    peaks = []
+    for i in range(n):
+        left = j[i - 1] if i > 0 else -math.inf
+        right = j[i + 1] if i < n - 1 else -math.inf
+        if j[i] > left and j[i] > right:
+            peaks.append(i)
+    maxima = []
+    for i in peaks:
+        if i == 0:
+            left_base = -math.inf
+        else:
+            lo = j[i]
+            for k in range(i - 1, -1, -1):
+                lo = min(lo, j[k])
+                if j[k] > j[i]:
+                    break
+            left_base = lo
+        if i == n - 1:
+            right_base = -math.inf
+        else:
+            lo = j[i]
+            for k in range(i + 1, n):
+                lo = min(lo, j[k])
+                if j[k] > j[i]:
+                    break
+            right_base = lo
+        prominence = j[i] - max(left_base, right_base)
+        if prominence >= 0.05 * jmax:
+            maxima.append(i)
+    return tuple(maxima)
+
+
 class TestProfileAndFringes:
+    def test_vectorized_count_equals_loop_reference(self, scales, s_wave, pz_dipole):
+        profiles = []
+        for src in (s_wave, pz_dipole):
+            for ueV in (30.0, 120.0, 400.0):
+                E = units.convert_energy(ueV, "ueV", "J")
+                prof = radial_profile(E, src, scales, _plane(E, scales), 600)
+                profiles.append(prof.j)
+                for seed in range(3):
+                    noise = np.random.default_rng(seed).standard_normal(600)
+                    profiles.append(prof.j * (1.0 + 0.02 * noise))
+                # reversed: the global maximum and a fringe on the last sample
+                profiles.append(prof.j[::-1].copy())
+                profiles.append(prof.j[::-1] * (1.0 + 0.02 * noise))
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 64, 333):
+            profiles.append(rng.random(n))
+            # plateaus: equal neighbours are not maxima and do not end a descent
+            profiles.append(np.round(4.0 * rng.random(n)) / 4.0)
+        profiles.append(np.array([1.0, 1.0, 0.0, 2.0, 2.0, 0.5, 3.0]))
+        profiles.append(np.array([2.0, 1.0, 1.5, 1.0, 1.5, 1.0, 2.0]))    # both edges
+        profiles.append(np.array([-1.0, 0.5, -2.0, 0.2, -0.5]))          # negative cols
+        profiles.append(np.array([0.0, 2.0, 1.99, 2.0, 0.0]))   # an equal peak is not higher
+        for j in profiles:
+            rho = np.arange(len(j), dtype=np.float64)
+            rep = count_fringes(RadialProfile(rho, j, 1.0, 1.0, s_wave))
+            ref = _loop_maxima(j)
+            assert rep.maxima_rho == tuple(float(i) for i in ref)
+            assert rep.n_fringes == len(ref)
+
+
     def test_r1_count(self, scales, E_r1, s_wave):
         prof = radial_profile(E_r1, s_wave, scales, _plane(E_r1, scales), 1200)
         rep = count_fringes(prof, scales)

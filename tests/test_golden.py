@@ -1,20 +1,26 @@
 """Golden values: today's outputs pinned, so a rewrite of a numerical layer
 shows how far it moves them.
 
-The values in data/golden.json were recorded with the Airy evaluator built
+Most values in data/golden.json were recorded with the Airy evaluator built
 from a 44-term Maclaurin series and two Taylor ladders at spacing 0.5, before
 the node table replaced them. Each family has its own tolerance,
 set from the accuracy of that evaluator rather than from the drift measured
-against it. Seeded (noisy) values are left out: the per-point seeding fix of
-ROADMAP item 4 changes them.
+against it. The two fit families were recorded when extract_energy started
+from the Airy zeros of the fringe maxima: a different start moves a fit
+within the model's rounding floor (~1e-10), so they are re-recorded when the
+start changes, and the noiseless fits must also stay within 1e-9 of the
+truth (criterion 8's pipeline bound). E_fit_seeded pins a 1%-noise sweep,
+one noise stream per point.
 
-Re-record (only when an output is meant to change, and say so):
+Re-record (only when an output is meant to change, and say so), all
+families or the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [family ...]
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +54,10 @@ TOL_AIRY = 2e-13
 TOL_PROFILE = 1e-13
 TOL_GREEN = 1e-13
 TOL_FIT = 1e-12
+TOL_FIT_TRUTH = 1e-9
+SEED = 42
+NOISE_PERCENT = 1.0
+BINDING_EV = 1.4612
 TOL_SEMI = 1e-12
 
 
@@ -94,6 +104,15 @@ def compute():
     for ueV in PROFILE_UEV:
         E_fit, _ = spectro.extract_energy(_profile(SourceKind.S_WAVE, ueV), scales, D)
         out["E_fit"][str(ueV)] = E_fit
+
+    E0 = BINDING_EV * units.EV
+    e_true = [units.convert_energy(ueV, "ueV", "J") for ueV in PROFILE_UEV]
+    plane = detector.DetectorPlane(d=D, extent=1.25 * classical.rho_max(max(e_true), scales, D),
+                                   n=16)
+    pts = spectro.run_sweep([E0 + e for e in e_true], E0, SourceModel(SourceKind.S_WAVE, 1.0),
+                            scales, plane, n_samples=PROFILE_SAMPLES,
+                            noise_percent=NOISE_PERCENT, seed=SEED)
+    out["E_fit_seeded"] = {str(ueV): p.E_fit for ueV, p in zip(PROFILE_UEV, pts)}
 
     out["semiclassical_wave"] = []
     for d, u, frac in SEMI_POINTS:
@@ -152,6 +171,14 @@ def test_noiseless_s_wave_fit(golden, current):
     assert golden["E_fit"].keys() == current["E_fit"].keys()
     for key, ref in golden["E_fit"].items():
         assert abs(current["E_fit"][key] - ref) <= TOL_FIT * ref, key
+        truth = units.convert_energy(float(key), "ueV", "J")
+        assert abs(current["E_fit"][key] - truth) <= TOL_FIT_TRUTH * truth, key
+
+
+def test_seeded_noisy_s_wave_sweep(golden, current):
+    assert golden["E_fit_seeded"].keys() == current["E_fit_seeded"].keys()
+    for key, ref in golden["E_fit_seeded"].items():
+        assert abs(current["E_fit_seeded"][key] - ref) <= TOL_FIT * ref, key
 
 
 def test_semiclassical_wave(golden, current):
@@ -162,5 +189,12 @@ def test_semiclassical_wave(golden, current):
 
 
 if __name__ == "__main__":
+    fresh = compute()
+    names = sys.argv[1:] or list(fresh)
+    unknown = set(names) - set(fresh)
+    if unknown:
+        sys.exit(f"unknown families: {sorted(unknown)}; known: {list(fresh)}")
+    data = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    data.update({name: fresh[name] for name in names})
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdmicro.specfun import airy, airy_oracle, airy_scaled, ci_factored
+from pdmicro.specfun import airy, airy_oracle, airy_scaled, airy_zeros, ci_factored
 
 AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -127,6 +127,41 @@ class TestOracle:
         for x in (-17.3, -6.1, 0.7, 6.4):
             v = airy_oracle(x)
             assert v.wronskian() == pytest.approx(1.0 / math.pi, rel=1e-11)
+
+
+class TestZeros:
+    def test_oracle_vanishes_at_the_zeros(self):
+        # one Newton step on the independent quadrature oracle: how far its
+        # zero lies from each returned zero, relative to the zero
+        a, ap = airy_zeros(60)
+        for k in [*range(12), *range(14, 60, 5)]:
+            if abs(ap[k]) > 40.0:
+                break
+            o = airy_oracle(float(a[k]))
+            assert abs(o.ai / o.aip) <= 1e-14 * abs(a[k]), k
+            o = airy_oracle(float(ap[k]))
+            assert abs(o.aip / (ap[k] * o.ai)) <= 1e-14 * abs(ap[k]), k
+
+    def test_ordered_interleaved_and_prefix_stable(self):
+        a, ap = airy_zeros(200)
+        assert a[0] == pytest.approx(FIRST_AI_ZERO, rel=1e-15)
+        assert np.all(np.diff(a) < 0.0) and np.all(np.diff(ap) < 0.0)
+        # 0 > a'_1 > a_1 > a'_2 > a_2 > ...
+        assert np.all(ap > a) and np.all(ap[1:] < a[:-1]) and ap[0] < 0.0
+        a5, ap5 = airy_zeros(5)
+        assert np.array_equal(a5, a[:5]) and np.array_equal(ap5, ap[:5])
+        with pytest.raises(ValueError):
+            airy_zeros(0)
+
+    def test_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        a, ap = airy_zeros(100)
+        ref_a, ref_ap, _, _ = special.ai_zeros(100)
+        # scipy's a_5 is itself 1.02e-12 off the 30-digit value (mpmath's
+        # airyaizero), where scipy.special.airy gives Ai = 7.6e-12; every
+        # other scipy zero agrees with ours to 2.6e-13
+        assert np.max(np.abs(a / ref_a - 1.0)) <= 2e-12
+        assert np.max(np.abs(ap / ref_ap - 1.0)) <= 1e-12
 
 
 def test_fast_vs_oracle_200_points():

@@ -89,35 +89,51 @@ class TestGoldenRule:
         assert_allclose(j2, 4.0 * j1, rtol=1e-14)
 
 
-def _fit_profiles(scales, src):
+D_NEAR = 1e-4   # 2190 l_F at 400 V/m: below spectro._FAR_FIELD_MIN_D, so the scan starts
+
+
+def _profile(scales, src, u, d=D):
+    E = u * scales.energy_epsF
+    return detector.radial_profile(E, src, scales, _plane(E, scales, d), 600)
+
+
+def _fit_profiles(scales, src, d=D):
     """600-sample profiles at four energies, noiseless and with 1% noise."""
     for u in (3.0, 7.5, 12.0, 19.0):
-        E = u * scales.energy_epsF
-        prof = detector.radial_profile(E, src, scales, _plane(E, scales), 600)
+        prof = _profile(scales, src, u, d)
         yield prof
         yield add_noise(prof, 1.0, np.random.default_rng(int(10 * u)))
+
+
+def _assert_batching_invisible(scales, kind, d, monkeypatch):
+    """Fits equal those from one model energy per flux and rate call."""
+    src = SourceModel(kind, 1.0)
+    profiles = list(_fit_profiles(scales, src, d))
+    batched = [extract_energy(p, scales, d) for p in profiles]
+
+    flux, rate = detector._flux_array, spectro.golden_rule_current
+
+    def flux_per_energy(rho, z, E, src, scales):
+        return np.array([flux(np.array(r), np.array(zz), float(e), src, scales)
+                         for r, zz, e in zip(rho, z, np.ravel(E))])
+
+    def rate_per_energy(E, src, scales):
+        return np.array([rate(float(e), src, scales) for e in E])
+
+    monkeypatch.setattr(detector, "_flux_array", flux_per_energy)
+    monkeypatch.setattr(spectro, "golden_rule_current", rate_per_energy)
+    reference = [extract_energy(p, scales, d) for p in profiles]
+    assert batched == reference
 
 
 class TestExtractEnergyBatching:
     @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
     def test_equals_one_energy_per_call_reference(self, scales, kind, monkeypatch):
-        src = SourceModel(kind, 1.0)
-        profiles = list(_fit_profiles(scales, src))
-        batched = [extract_energy(p, scales, D) for p in profiles]
+        _assert_batching_invisible(scales, kind, D, monkeypatch)
 
-        flux, rate = detector._flux_array, spectro.golden_rule_current
-
-        def flux_per_energy(rho, z, E, src, scales):
-            return np.array([flux(np.array(r), np.array(zz), float(e), src, scales)
-                             for r, zz, e in zip(rho, z, np.ravel(E))])
-
-        def rate_per_energy(E, src, scales):
-            return np.array([rate(float(e), src, scales) for e in E])
-
-        monkeypatch.setattr(detector, "_flux_array", flux_per_energy)
-        monkeypatch.setattr(spectro, "golden_rule_current", rate_per_energy)
-        reference = [extract_energy(p, scales, D) for p in profiles]
-        assert batched == reference
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    def test_scan_route_equals_one_energy_per_call_reference(self, scales, kind, monkeypatch):
+        _assert_batching_invisible(scales, kind, D_NEAR, monkeypatch)
 
     @pytest.mark.parametrize("kind, cap", [(SourceKind.S_WAVE, None),
                                            (SourceKind.PZ_DIPOLE, None),
@@ -136,16 +152,36 @@ class TestExtractEnergyBatching:
             return flux(rho, z, E, src, scales)
 
         monkeypatch.setattr(detector, "_flux_array", counting)
-        for prof in _fit_profiles(scales, src):
+        per_call = spectro._BATCH_POINTS // 600
+        # the scan route, chosen by a plane nearer than _FAR_FIELD_MIN_D, and
+        # the start route, taken by noiseless far-field profiles with >= 2
+        # interior maxima
+        near = list(_fit_profiles(scales, src, D_NEAR))
+        far = [_profile(scales, src, u) for u in (7.5, 12.0, 19.0)]
+        for prof, scan in [(p, True) for p in near] + [(p, False) for p in far]:
             calls.clear()
-            extract_energy(prof, scales, D)
+            extract_energy(prof, scales, prof.d)
             energies = [e for _, es in calls for e in es]
             assert len(energies) == len(set(energies))
             assert all(n <= spectro._BATCH_POINTS for n, _ in calls)
             assert sum(n for n, _ in calls) == 600 * len(energies)
-            # the 49-candidate scan takes ceil(49 / per_call) calls, the LM one each
-            per_call = spectro._BATCH_POINTS // 600
-            assert len(calls) == len(energies) - 49 + math.ceil(49 / per_call)
+            if scan:
+                # the scan's nodes come first, evenly spaced in log E: 49 over 0.5-2
+                # times the fringe-count guess, 2.9% apart, or with <= 2 maxima as
+                # many as keep that spacing from 0.505 eps_F
+                steps = np.diff(np.log(energies)) / (math.log(4.0) / 48.0)
+                n_scan = 1 + int(np.argmax(np.abs(steps / steps[0] - 1.0) > 1e-6))
+                assert steps[0] <= 1.0 + 1e-9
+                if detector.count_fringes(prof).n_fringes > 2:
+                    assert n_scan == 49 and steps[0] == pytest.approx(1.0, rel=1e-9)
+                else:
+                    assert steps[0] > 0.98 and n_scan > 49
+                    assert energies[0] == pytest.approx(0.505 * scales.energy_epsF, rel=1e-12)
+                # the scan takes ceil(n_scan / per_call) calls, the LM one each
+                assert len(calls) == len(energies) - n_scan + math.ceil(n_scan / per_call)
+            else:
+                # one call for the start's amplitude, then one per LM energy
+                assert len(calls) == len(energies) < 49
 
 
 class TestExtractEnergy:
@@ -201,6 +237,60 @@ class TestExtractEnergy:
             fits.append(extract_energy(prof, scales, D)[0])
         assert all(a < b for a, b in zip(fits, fits[1:]))
 
+    @pytest.mark.parametrize("kind, u", [(SourceKind.S_WAVE, 0.6), (SourceKind.S_WAVE, 0.94),
+                                         (SourceKind.PZ_DIPOLE, 0.94),
+                                         (SourceKind.PZ_DIPOLE, 1.29),
+                                         (SourceKind.PZ_DIPOLE, 1.63)])
+    def test_one_or_two_maxima_below_2_epsF(self, scales, kind, u):
+        # the truth lies below half the fringe-count guess, out of reach of
+        # a scan around that guess (which returned 2.4-5.6 times the truth)
+        prof = _profile(scales, SourceModel(kind, 1.0), u)
+        assert detector.count_fringes(prof).n_fringes <= 2
+        E_fit, _ = extract_energy(prof, scales, D)
+        assert abs(E_fit / prof.E - 1.0) <= 1e-8
+
+    def test_two_noisy_rings_scan_keeps_its_node_spacing(self, scales, pz_dipole):
+        # 1% noise hides the central maximum and spreads the two ring estimates
+        # past _START_SPREAD, so the scan starts; at 6% node spacing it picks
+        # a wide low-energy basin (0.38 E)
+        prof = _profile(scales, pz_dipole, 3.7376161143350175)
+        noisy = add_noise(prof, 1.0, np.random.default_rng(1012))
+        assert detector.count_fringes(noisy).n_fringes == 2
+        E_fit, _ = extract_energy(noisy, scales, D)
+        assert abs(E_fit / prof.E - 1.0) <= 3e-3
+
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    def test_far_field_basin_60_to_400_ueV(self, scales, kind):
+        # a 2.9%-spaced scan alone puts 7 of these pz fits in a neighbouring
+        # basin, 3-8% off
+        src = SourceModel(kind, 1.0)
+        for k, ueV in enumerate(np.linspace(60.0, 400.0, 21)):
+            prof = _profile(scales, src, units.convert_energy(ueV, "ueV", "J")
+                            / scales.energy_epsF)
+            E_fit, _ = extract_energy(prof, scales, D)
+            assert abs(E_fit / prof.E - 1.0) <= 1e-8, ueV
+            noisy = add_noise(prof, 1.0, np.random.default_rng(k))
+            E_fit, _ = extract_energy(noisy, scales, D)
+            assert abs(E_fit / prof.E - 1.0) <= 3e-3, ueV
+
+    @pytest.mark.parametrize("kind", [SourceKind.S_WAVE, SourceKind.PZ_DIPOLE])
+    def test_airy_zero_start_reads_the_energy_off_the_maxima(self, scales, kind):
+        l = scales.length_lF
+        for u in (4.0, 7.5, 12.0, 19.0):
+            for d in (D, 1e-3):
+                prof = _profile(scales, SourceModel(kind, 1.0), u, d)
+                maxima = detector.count_fringes(prof).maxima_rho
+                u0 = spectro._airy_zero_start(prof.rho, prof.j, maxima, kind, d, l)
+                assert abs(u0 / u - 1.0) <= 1e-4, (u, d)
+        # a spurious maximum between two fringes breaks the zero pattern
+        prof = _profile(scales, SourceModel(kind, 1.0), 12.0)
+        maxima = detector.count_fringes(prof).maxima_rho
+        extra = tuple(sorted(maxima + (0.5 * (maxima[-2] + maxima[-3]),)))
+        i = np.searchsorted(prof.rho, extra[-3])
+        j = prof.j.copy()
+        j[i] = 0.5 * (j[i - 1] + j[i + 1]) + 1e-3
+        assert spectro._airy_zero_start(prof.rho, j, extra, kind, D, l) is None
+
     def test_flat_profile_rejected(self, scales, s_wave, E_r1):
         prof = detector.radial_profile(E_r1, s_wave, scales, _plane(E_r1, scales), 400)
         flat = detector.RadialProfile(prof.rho, np.full_like(prof.j, 0.7),
@@ -225,6 +315,21 @@ class TestSweepAndEinstein:
         for p in pts:
             assert p.E_true == p.hnu - E0   # exact arithmetic
             assert abs(p.E_fit - p.E_true) / p.E_true <= 1e-6
+
+    def test_each_point_has_its_own_noise_stream(self, scales, s_wave):
+        E0 = 1.4612 * units.EV
+        hnu = E0 + 7.0 * scales.energy_epsF
+        plane = _plane(7.0 * scales.energy_epsF, scales)
+        pts = run_sweep([hnu, hnu, hnu], E0, s_wave, scales, plane, n_samples=400,
+                        noise_percent=1.0, seed=5)
+        assert len({p.E_fit for p in pts}) == 3
+        for i, (p, ss) in enumerate(zip(pts, np.random.SeedSequence(5).spawn(3))):
+            assert spectro._sweep_point(hnu, E0, s_wave, scales, plane, 400, 1.0, 5, i) == p
+            assert np.array_equal(spectro._point_seed(5, i).generate_state(4),
+                                  ss.generate_state(4))
+        # point i does not depend on how many points follow it
+        assert run_sweep([hnu], E0, s_wave, scales, plane, n_samples=400,
+                         noise_percent=1.0, seed=5) == pts[:1]
 
     def test_sweep_empty(self, scales, s_wave):
         assert run_sweep([], 1.0 * units.EV, s_wave, scales, _plane(1e-23, scales)) == []
