@@ -401,7 +401,7 @@ def _run_compare_semiclassical(cfg: RunConfig, created):
     # as green_energy converts them, so each value matches its scalar call
     l = scales.length_lF
     g = _closed_eval(rhos / l, np.full_like(rhos, -d) / l, 0.0, 0.0,
-                     E / scales.energy_epsF)["g"]
+                     E / scales.energy_epsF, want=("g",))["g"]
     g_sc = classical.semiclassical_profile(rhos, d, E, scales)
     rows = []
     for rho, g_i, g_sc_i in zip(rhos, g, g_sc):

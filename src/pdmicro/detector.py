@@ -105,14 +105,9 @@ def _flux_array(rho, z, E, src, scales):
     """
     l = scales.length_lF
     u = E / scales.energy_epsF
-    want_pz = src.kind is SourceKind.PZ_DIPOLE
-    res = _closed_eval(np.asarray(rho) / l, np.asarray(z) / l, 0.0, 0.0, u, want_pz=want_pz)
-    if want_pz:
-        psi = res["g_zsrc"]
-        dpsi = res["g_z_zsrc"]
-    else:
-        psi = res["g"]
-        dpsi = res["g_z"]
+    keys = ("g", "g_z") if src.kind is SourceKind.S_WAVE else ("g_zsrc", "g_z_zsrc")
+    res = _closed_eval(np.asarray(rho) / l, np.asarray(z) / l, 0.0, 0.0, u, want=keys)
+    psi, dpsi = (res[k] for k in keys)
     return -4.0 * src.strength**2 * np.imag(np.conj(psi) * dpsi) / (l * l)
 
 

@@ -123,13 +123,15 @@ class GreenEvaluation:
 # Closed form (natural units).
 
 
-def _bilinear(ap, am, want_second=False):
+def _bilinear(ap, am, order=1):
     """Stable evaluation of B = Ci(am)Ai'(ap) - Ci'(am)Ai(ap) and partials.
 
-    Returns (B, Bp, Bm[, Bpp, Bpm, Bmm]) where p/m denote d/d(ap), d/d(am).
-    All outputs share one common factor already applied: the fast phase of
-    Ci at large negative am and the decay exponent of Ai at positive ap,
-    keeping every quadrant overflow- and cancellation-safe.
+    Returns [B, Bp, Bm, Bpp, Bpm, Bmm], where p/m denote d/d(ap), d/d(am);
+    past the given derivative order (0, 1 or 2) the entries are None. All outputs
+    share one common factor already applied: the fast phase of Ci at large
+    negative am and the decay exponent of Ai at positive ap, keeping every
+    quadrant overflow- and cancellation-safe. Bi enters through Ci(am)
+    only, so the ap side evaluates Ai alone.
     """
     ap = np.atleast_1d(np.asarray(ap, dtype=np.float64))
     am = np.atleast_1d(np.asarray(am, dtype=np.float64))
@@ -137,9 +139,9 @@ def _bilinear(ap, am, want_second=False):
     ap = np.broadcast_to(ap, shape).ravel()
     am = np.broadcast_to(am, shape).ravel()
 
-    ai_p, aip_p, _, _, e_p = specfun.airy_scaled(ap)
+    ai_p, aip_p, _, _, e_p = specfun.airy_scaled(ap, bi=False)
 
-    out = [np.zeros(ap.shape, dtype=np.complex128) for _ in range(6 if want_second else 3)]
+    out = [np.zeros(ap.shape, dtype=np.complex128) for _ in range((1, 3, 6)[order])]
 
     def linforms(mask, c0, c1):
         """The bilinear and its alpha-derivatives, linear in (Ci, Ci')."""
@@ -147,11 +149,12 @@ def _bilinear(ap, am, want_second=False):
         amm = am[mask]
         aim = ai_p[mask]
         aipm = aip_p[mask]
-        b = c0 * aipm - c1 * aim
-        bp = apm * c0 * aim - c1 * aipm
-        bm = c1 * aipm - amm * c0 * aim
-        vals = [b, bp, bm]
-        if want_second:
+        vals = [c0 * aipm - c1 * aim]
+        if order >= 1:
+            bp = apm * c0 * aim - c1 * aipm
+            bm = c1 * aipm - amm * c0 * aim
+            vals += [bp, bm]
+        if order >= 2:
             bpp = c0 * (aim + apm * aipm) - apm * c1 * aim
             bpm = apm * c1 * aim - amm * c0 * aipm
             bmm = amm * c0 * aipm - c0 * aim - amm * c1 * aim
@@ -178,15 +181,28 @@ def _bilinear(ap, am, want_second=False):
         for target, vr, vi in zip(out, re_vals, im_vals):
             target[m2] = vr * e1 + 1j * vi * e2
 
-    return [o.reshape(shape) for o in out]
+    return [o.reshape(shape) for o in out] + [None] * (6 - len(out))
 
 
-def _closed_eval(rho, z, rho_src, z_src, u, want_pz=False):
-    """Closed-form ghat and derivatives, natural units, vectorized.
+# _closed_eval keys: the wave g, its first partials by z, rho and the source
+# height z_src, and the mixed second partials a pz dipole source needs.
+_FIRST = {"g_z": "z", "g_rho": "rho", "g_zsrc": "zsrc"}
+_SECOND = {"g_z_zsrc": "z", "g_rho_zsrc": "rho"}
 
-    Returns a dict with keys g, g_z, g_rho, g_zsrc and, if want_pz,
-    g_z_zsrc, g_rho_zsrc.
+
+def _closed_eval(rho, z, rho_src, z_src, u, *, want):
+    """Closed-form ghat and the derivatives named in `want`, natural units.
+
+    `want` is an iterable of keys among g, g_z, g_rho, g_zsrc, g_z_zsrc and
+    g_rho_zsrc; the returned dict holds exactly those. Second partials of
+    the bilinear are computed only when a *_zsrc second-order key is asked
+    for, and its first partials only when any derivative is. Each entry is
+    bit for bit the same whatever else is asked for.
     """
+    want = set(want)
+    unknown = want - {"g"} - _FIRST.keys() - _SECOND.keys()
+    if unknown:
+        raise ValueError(f"_closed_eval: unknown outputs {sorted(unknown)}")
     rho = np.asarray(rho, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     dr = rho - rho_src
@@ -201,55 +217,45 @@ def _closed_eval(rho, z, rho_src, z_src, u, want_pz=False):
     nrho = dr / R
     nz = dz / R
 
-    res = _bilinear(ap, am, want_second=want_pz)
-    if want_pz:
-        B, Bp, Bm, Bpp, Bpm, Bmm = res
-    else:
-        B, Bp, Bm = res
+    order = 2 if want & _SECOND.keys() else 1 if want - {"g"} else 0
+    B, Bp, Bm, Bpp, Bpm, Bmm = _bilinear(ap, am, order)
 
     quarter_r = 1.0 / (4.0 * R)
-    g = B * quarter_r
 
-    # d alpha+- / d coord
-    ap_z = 0.5 * (1.0 + nz)
-    am_z = 0.5 * (1.0 - nz)
-    ap_rho = 0.5 * nrho
-    am_rho = -0.5 * nrho
-    ap_zs = 0.5 * (1.0 - nz)
-    am_zs = 0.5 * (1.0 + nz)
+    def slopes(c):
+        """d alpha+/dc, d alpha-/dc and dR/dc for c in z, rho, zsrc."""
+        if c == "z":
+            return 0.5 * (1.0 + nz), 0.5 * (1.0 - nz), nz
+        if c == "rho":
+            return 0.5 * nrho, -0.5 * nrho, nrho
+        return 0.5 * (1.0 - nz), 0.5 * (1.0 + nz), -nz
 
     def first(cp, cm, r_c):
         return (Bp * cp + Bm * cm) * quarter_r - B * r_c * quarter_r / R
 
-    outd = {
-        "g": g,
-        "g_z": first(ap_z, am_z, nz),
-        "g_rho": first(ap_rho, am_rho, nrho),
-        "g_zsrc": first(ap_zs, am_zs, -nz),
-    }
-    if want_pz:
-        r_zzs = (nz * nz - 1.0) / R
-        r_rhozs = nrho * nz / R
-        ap_zzs = 0.5 * r_zzs
-        am_zzs = -0.5 * r_zzs
-        ap_rhozs = 0.5 * r_rhozs
-        am_rhozs = -0.5 * r_rhozs
-
-        B_z = Bp * ap_z + Bm * am_z
-        B_rho = Bp * ap_rho + Bm * am_rho
+    outd = {}
+    if "g" in want:
+        outd["g"] = B * quarter_r
+    for key, c in _FIRST.items():
+        if key in want:
+            outd[key] = first(*slopes(c))
+    if order == 2:
+        ap_zs, am_zs, _ = slopes("zsrc")
         B_zs = Bp * ap_zs + Bm * am_zs
 
-        def second(c1p, c1m, r_c1, B_c1, cross_p, cross_m, r_cross):
-            # d/d z_src of (B_c1 / 4R term structure)
-            B_c1zs = (Bpp * c1p * ap_zs + Bpm * (c1p * am_zs + c1m * ap_zs)
-                      + Bmm * c1m * am_zs + Bp * cross_p + Bm * cross_m)
-            return (B_c1zs * quarter_r
-                    - B_c1 * (-nz) * quarter_r / R
-                    - B_zs * r_c1 * quarter_r / R
-                    - B * (r_cross * quarter_r / R - 2.0 * r_c1 * (-nz) * quarter_r / (R * R)))
-
-        outd["g_z_zsrc"] = second(ap_z, am_z, nz, B_z, ap_zzs, am_zzs, r_zzs)
-        outd["g_rho_zsrc"] = second(ap_rho, am_rho, nrho, B_rho, ap_rhozs, am_rhozs, r_rhozs)
+    for key, c in _SECOND.items():
+        if key not in want:
+            continue
+        # d/d z_src of the first partial by c (B_c / 4R term structure)
+        c1p, c1m, r_c1 = slopes(c)
+        r_cross = (nz * nz - 1.0) / R if c == "z" else nrho * nz / R
+        B_c1 = Bp * c1p + Bm * c1m
+        B_c1zs = (Bpp * c1p * ap_zs + Bpm * (c1p * am_zs + c1m * ap_zs)
+                  + Bmm * c1m * am_zs + Bp * (0.5 * r_cross) + Bm * (-0.5 * r_cross))
+        outd[key] = (B_c1zs * quarter_r
+                     - B_c1 * (-nz) * quarter_r / R
+                     - B_zs * r_c1 * quarter_r / R
+                     - B * (r_cross * quarter_r / R - 2.0 * r_c1 * (-nz) * quarter_r / (R * R)))
     return outd
 
 
@@ -391,7 +397,7 @@ def _c1(x) -> complex:
 def green_energy(r: SpacePoint, r_src: SpacePoint, E: float, scales: FieldScales) -> GreenEvaluation:
     """Energy Green function by the calibrated Airy closed form."""
     rho, z, rho_s, z_s, u = _to_natural(r, r_src, E, scales)
-    res = _closed_eval(np.float64(rho), np.float64(z), rho_s, z_s, u)
+    res = _closed_eval(np.float64(rho), np.float64(z), rho_s, z_s, u, want=("g", "g_z", "g_rho"))
     l = scales.length_lF
     return GreenEvaluation(
         value=_c1(res["g"]) / l,
@@ -420,7 +426,7 @@ def green_energy_quad(r: SpacePoint, r_src: SpacePoint, E: float, scales: FieldS
 def ldos_bracket_s(xi):
     """Ai'(xi)^2 - xi Ai(xi)^2 = Int_xi^inf Ai^2, the s-wave rate bracket."""
     xi_a = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    ai_s, aip_s, _, _, expo = specfun.airy_scaled(xi_a)
+    ai_s, aip_s, _, _, expo = specfun.airy_scaled(xi_a, bi=False)
     out = np.exp(-2.0 * expo) * (aip_s**2 - xi_a * ai_s**2)
     return float(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
@@ -428,7 +434,7 @@ def ldos_bracket_s(xi):
 def ldos_bracket_pz(xi):
     """-[2 Ai Ai' + xi (Ai'^2 - xi Ai^2)], the z-dipole rate bracket (> 0)."""
     xi_a = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    ai_s, aip_s, _, _, expo = specfun.airy_scaled(xi_a)
+    ai_s, aip_s, _, _, expo = specfun.airy_scaled(xi_a, bi=False)
     out = -np.exp(-2.0 * expo) * (2.0 * ai_s * aip_s + xi_a * (aip_s**2 - xi_a * ai_s**2))
     return float(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
@@ -459,13 +465,14 @@ def source_wave(r: SpacePoint, E: float, src: SourceModel, scales: FieldScales) 
         raise ValueError(f"evaluation inside the source exclusion ball (r < {_EXCLUSION} l_F)")
     l = scales.length_lF
     if src.kind is SourceKind.S_WAVE:
-        res = _closed_eval(np.float64(rho), np.float64(z), 0.0, 0.0, u)
+        res = _closed_eval(np.float64(rho), np.float64(z), 0.0, 0.0, u, want=("g", "g_z", "g_rho"))
         return GreenEvaluation(
             value=src.strength * _c1(res["g"]) / l,
             grad_z=src.strength * _c1(res["g_z"]) / l**2,
             grad_rho=src.strength * _c1(res["g_rho"]) / l**2,
         )
-    res = _closed_eval(np.float64(rho), np.float64(z), 0.0, 0.0, u, want_pz=True)
+    res = _closed_eval(np.float64(rho), np.float64(z), 0.0, 0.0, u,
+                       want=("g_zsrc", "g_z_zsrc", "g_rho_zsrc"))
     return GreenEvaluation(
         value=src.strength * _c1(res["g_zsrc"]) / l,
         grad_z=src.strength * _c1(res["g_z_zsrc"]) / l**2,

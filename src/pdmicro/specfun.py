@@ -110,10 +110,11 @@ def _taylor_step(x0, h, y, yp, n_terms=_TAYLOR_TERMS):
 # Asymptotic expansions.
 
 
-def _asy_pos_scaled(x):
+def _asy_pos_scaled(x, bi=True):
     """Scaled asymptotics for x >= ~9: returns values with e^{±zeta} removed.
 
     ai = ai_s e^{-zeta}, aip = aip_s e^{-zeta}, bi = bi_s e^{+zeta}, ...
+    Without bi, bi_s and bip_s come back as None.
     """
     x = np.asarray(x, dtype=np.float64)
     zeta = (2.0 / 3.0) * x ** 1.5
@@ -127,12 +128,15 @@ def _asy_pos_scaled(x):
         sgn = -1.0 if k % 2 else 1.0
         su_m = su_m + sgn * _UK[k] * zk
         sv_m = sv_m + sgn * _VK[k] * zk
-        su_p = su_p + _UK[k] * zk
-        sv_p = sv_p + _VK[k] * zk
+        if bi:
+            su_p = su_p + _UK[k] * zk
+            sv_p = sv_p + _VK[k] * zk
         zk = zk * zi
     x4 = x ** 0.25
     ai_s = su_m / (2.0 * _SQRT_PI * x4)
     aip_s = -x4 * sv_m / (2.0 * _SQRT_PI)
+    if not bi:
+        return ai_s, aip_s, None, None, zeta
     bi_s = su_p / (_SQRT_PI * x4)
     bip_s = x4 * sv_p / _SQRT_PI
     return ai_s, aip_s, bi_s, bip_s, zeta
@@ -161,8 +165,8 @@ def _asy_neg_sums(w):
     return zeta, sa, sb, sve, svo
 
 
-def _asy_neg(x):
-    """Trigonometric asymptotics for x <= ~-9."""
+def _asy_neg(x, bi=True):
+    """Trigonometric asymptotics for x <= ~-9: (Ai, Ai'[, Bi, Bi'])."""
     w = -np.asarray(x, dtype=np.float64)
     zeta, sa, sb, sve, svo = _asy_neg_sums(w)
     phi = zeta - 0.25 * math.pi
@@ -171,6 +175,8 @@ def _asy_neg(x):
     w4 = w ** 0.25
     ai = (c * sa + s * sb) / (_SQRT_PI * w4)
     aip = w4 * (s * sve - c * svo) / _SQRT_PI
+    if not bi:
+        return ai, aip
     bi = (-s * sa + c * sb) / (_SQRT_PI * w4)
     bip = w4 * (c * sve + s * svo) / _SQRT_PI
     return ai, aip, bi, bip
@@ -190,7 +196,7 @@ def _build_table():
     Each node then takes one step from its nearest ladder node; the node at
     0 keeps the closed forms exactly.
     """
-    ai_s, aip_s, _, _, zeta = _asy_pos_scaled(np.float64(_X_POS_ASY))
+    ai_s, aip_s, _, _, zeta = _asy_pos_scaled(np.float64(_X_POS_ASY), bi=False)
     down = math.exp(-float(zeta))
     h = np.array([-_LADDER_STEP, -_LADDER_STEP, _LADDER_STEP, -_LADDER_STEP])
     x = np.array([0.0, 0.0, 0.0, _X_POS_ASY])
@@ -218,19 +224,52 @@ def _build_table():
 _TABLE_Y, _TABLE_YP = _build_table()
 
 
-def _table_eval(x):
-    """(Ai, Bi) and (Ai', Bi'), each a (2, n) array, for -12 <= x < 12.
+def _table_eval(x, bi=True):
+    """(Ai, Ai'[, Bi, Bi']) for -12 <= x < 12.
 
     One Taylor step from the nearest table node, so each value depends on
-    its own x only.
+    its own x only. Without bi only the Ai row is stepped; the row's
+    arithmetic is elementwise, so Ai and Ai' come out bit for bit the same.
     """
     idx = np.rint((x - _X_NEG_ASY) * (1.0 / _TABLE_STEP)).astype(np.intp)
     x0 = _X_NEG_ASY + _TABLE_STEP * idx
-    return _taylor_step(x0, x - x0, _TABLE_Y[:, idx], _TABLE_YP[:, idx], _TABLE_TERMS)
+    rows = slice(None) if bi else slice(1)
+    y, yp = _taylor_step(x0, x - x0, _TABLE_Y[rows, idx], _TABLE_YP[rows, idx], _TABLE_TERMS)
+    return tuple(v for pair in zip(y, yp) for v in pair)
 
 
 # ---------------------------------------------------------------------------
 # Public fast path.
+
+
+def airy_scaled(x, bi=True):
+    """(ai_s, aip_s, bi_s, bip_s, expo) with ai = ai_s e^-expo, bi = bi_s e^+expo.
+
+    expo = (2/3) x^(3/2) for x >= 12 (the exponential asymptotic region), 0
+    elsewhere. Never overflows; meant for exponent-split products in the
+    Green function. With bi=False, Bi and Bi' are not evaluated and bi_s,
+    bip_s are None; ai_s, aip_s and expo are bit for bit those of bi=True.
+    This is the one region dispatch: `airy` undoes the exponent split.
+    """
+    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("airy: non-finite argument")
+    vals = [np.empty_like(xa) for _ in range(4 if bi else 2)]
+    expo = np.zeros_like(xa)
+    neg = xa < _X_NEG_ASY
+    pos = xa >= _X_POS_ASY
+    mid = ~(neg | pos)
+    for m, region in ((neg, _asy_neg), (mid, _table_eval)):
+        if m.any():
+            for v, r in zip(vals, region(xa[m], bi)):
+                v[m] = r
+    if pos.any():
+        *rs, expo[pos] = _asy_pos_scaled(xa[pos], bi)
+        for v, r in zip(vals, rs):
+            v[pos] = r
+    if not bi:
+        vals += [None, None]
+    return (*vals, expo)
 
 
 def airy(x):
@@ -242,58 +281,17 @@ def airy(x):
     """
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("airy: non-finite argument")
-    ai = np.empty_like(xa)
-    aip = np.empty_like(xa)
-    bi = np.empty_like(xa)
-    bip = np.empty_like(xa)
-    overflow = np.zeros(xa.shape, dtype=bool)
-
-    m = xa < _X_NEG_ASY
-    if m.any():
-        ai[m], aip[m], bi[m], bip[m] = _asy_neg(xa[m])
-    m = (xa >= _X_NEG_ASY) & (xa < _X_POS_ASY)
-    if m.any():
-        (ai[m], bi[m]), (aip[m], bip[m]) = _table_eval(xa[m])
-    m = xa >= _X_POS_ASY
-    if m.any():
-        ai_s, aip_s, bi_s, bip_s, zeta = _asy_pos_scaled(xa[m])
-        down = np.exp(-zeta)
-        ai[m] = ai_s * down
-        aip[m] = aip_s * down
-        over = xa[m] > _X_BI_OVERFLOW
-        up = np.exp(np.where(over, 0.0, zeta))
-        bi[m] = np.where(over, _BI_SATURATION, bi_s * up)
-        bip[m] = np.where(over, _BI_SATURATION, bip_s * up)
-        overflow[m] = over
-
+    ai_s, aip_s, bi_s, bip_s, expo = airy_scaled(xa)
+    down = np.exp(-expo)
+    overflow = xa > _X_BI_OVERFLOW
+    up = np.exp(np.where(overflow, 0.0, expo))
+    ai = ai_s * down
+    aip = aip_s * down
+    bi = np.where(overflow, _BI_SATURATION, bi_s * up)
+    bip = np.where(overflow, _BI_SATURATION, bip_s * up)
     if scalar:
         return AiryValues(float(ai[0]), float(aip[0]), float(bi[0]), float(bip[0]), bool(overflow[0]))
     return AiryValues(ai, aip, bi, bip, overflow)
-
-
-def airy_scaled(x):
-    """(ai_s, aip_s, bi_s, bip_s, expo) with ai = ai_s e^-expo, bi = bi_s e^+expo.
-
-    expo = (2/3) x^(3/2) for x > 0 in the asymptotic region, 0 elsewhere.
-    Never overflows; meant for exponent-split products in the Green
-    function.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    ai_s = np.empty_like(xa)
-    aip_s = np.empty_like(xa)
-    bi_s = np.empty_like(xa)
-    bip_s = np.empty_like(xa)
-    expo = np.zeros_like(xa)
-    m = xa >= _X_POS_ASY
-    if m.any():
-        ai_s[m], aip_s[m], bi_s[m], bip_s[m], expo[m] = _asy_pos_scaled(xa[m])
-    if (~m).any():
-        plain = airy(xa[~m])
-        ai_s[~m], aip_s[~m] = plain.ai, plain.aip
-        bi_s[~m], bip_s[~m] = plain.bi, plain.bip
-    return ai_s, aip_s, bi_s, bip_s, expo
 
 
 def airy_zeros(n: int):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -179,13 +180,51 @@ class TestGradientsAndPDE:
             z = rng.uniform(-12.0, -2.0)
 
             def g(p, q):
-                return complex(_closed_eval(np.float64(p), np.float64(q), 0.0, 0.0, u)["g"].reshape(-1)[0])
+                return complex(_closed_eval(np.float64(p), np.float64(q), 0.0, 0.0, u,
+                                            want=("g",))["g"].reshape(-1)[0])
 
             lap = ((g(rho + h, z) - 2 * g(rho, z) + g(rho - h, z)) / h**2
                    + (g(rho + h, z) - g(rho - h, z)) / (2 * h * rho)
                    + (g(rho, z + h) - 2 * g(rho, z) + g(rho, z - h)) / h**2)
             residual = lap + (u - z) * g(rho, z)
             assert abs(residual) <= 1e-4 * abs(lap)
+
+
+class TestClosedEvalSubsets:
+    KEYS = ("g", "g_z", "g_rho", "g_zsrc", "g_z_zsrc", "g_rho_zsrc")
+
+    @pytest.mark.parametrize("where", ["far", "near"])
+    def test_every_subset_is_bitwise_the_full_evaluation(self, scales, E_r1, where):
+        # asking for fewer outputs must not move a bit of the ones returned
+        from pdmicro.green import _closed_eval
+        u = E_r1 / scales.energy_epsF
+        if where == "far":
+            d = 0.5 / scales.length_lF
+            rho = np.linspace(0.0, 1.2 * 2.0 * math.sqrt(u * (u + d)), 301)
+            z = np.full_like(rho, -d)
+        else:
+            # am = -u + (z + z_src)/2 - R/2 > -12 at every point, so the
+            # alpha- side takes the Ai/Bi table, not the Ci phase form
+            u = 3.0
+            rng = np.random.default_rng(11)
+            rho = rng.uniform(0.05, 4.0, 301)
+            z = rng.uniform(-4.0, 3.0, 301)
+            R = np.hypot(rho - 0.2, z - 0.5)
+            assert np.all(-u + 0.5 * (z + 0.5) - 0.5 * R > -12.0)
+        src = (0.0, 0.0) if where == "far" else (0.2, 0.5)
+        full = _closed_eval(rho, z, *src, u, want=self.KEYS)
+        assert set(full) == set(self.KEYS)
+        for n in range(1, len(self.KEYS) + 1):
+            for want in itertools.combinations(self.KEYS, n):
+                got = _closed_eval(rho, z, *src, u, want=want)
+                assert set(got) == set(want)
+                for key in want:
+                    assert np.array_equal(got[key], full[key]), (want, key)
+
+    def test_unknown_output_rejected(self, scales, E_r1):
+        from pdmicro.green import _closed_eval
+        with pytest.raises(ValueError, match="g_zz"):
+            _closed_eval(np.float64(1.0), np.float64(-2.0), 0.0, 0.0, 1.0, want=("g", "g_zz"))
 
 
 class TestLdos:

@@ -101,6 +101,36 @@ class TestFastPath:
             assert np.max(np.abs(got - ref) / scale) <= 2e-13
 
 
+    def test_ai_only_is_bitwise_the_full_evaluation(self):
+        # bi=False must not move a bit of Ai, Ai' or the exponent: all three
+        # regions, the seams at +-12 and both sides of every half-node,
+        # where the table index rounds the other way
+        half = -12.0 + (np.arange(384) + 0.5) / 16.0
+        seams = np.array([-12.0, 12.0])
+        x = np.concatenate([np.linspace(-60.0, 150.0, 20001), half - 1e-12, half + 1e-12,
+                            seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf)])
+        full = airy_scaled(x)
+        ai_s, aip_s, bi_s, bip_s, expo = airy_scaled(x, bi=False)
+        assert bi_s is None and bip_s is None
+        for got, ref in zip((ai_s, aip_s, expo), (full[0], full[1], full[4])):
+            assert np.array_equal(got, ref)
+
+    def test_airy_undoes_the_exponent_split(self):
+        # airy is airy_scaled with e^-+expo applied; Bi saturates only past ~104
+        x = np.array([-30.0, -12.0, 0.0, 11.9, 12.0, 40.0, 103.0, 110.0])
+        v = airy(x)
+        ai_s, aip_s, bi_s, bip_s, expo = airy_scaled(x)
+        assert np.array_equal(v.ai, ai_s * np.exp(-expo))
+        assert np.array_equal(v.aip, aip_s * np.exp(-expo))
+        assert np.array_equal(v.bi[:-1], bi_s[:-1] * np.exp(expo[:-1]))
+        assert v.bi_overflow.tolist() == [False] * 7 + [True]
+
+    def test_scaled_nonfinite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                airy_scaled(np.array([0.0, bad]), bi=False)
+
+
 class TestOracle:
     def test_origin_closed_forms(self):
         v = airy_oracle(0.0)
