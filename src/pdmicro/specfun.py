@@ -1,15 +1,20 @@
 """Real-argument Airy functions Ai, Bi, their derivatives, and Ci = Bi + i*Ai.
 
-The fast evaluator `airy` is built from scratch in three regions:
+The fast evaluator `airy_scaled` is built from scratch in three regions:
 
   x < -12           trigonometric (phase-amplitude) asymptotic series
-  -12 <= x < 12     one 13-term Taylor step, for Ai and Bi together, from the
+  -12 <= x < 12     one 11-term Taylor step, for Ai and Bi together, from the
                     nearest node of a table at spacing 1/16; the table is
                     marched at import from the closed forms at x = 0 and the
                     asymptotic Ai at x = 12, each function in a direction in
                     which it does not decay (no power series about 0, which
                     cancels catastrophically for Ai at positive x)
   x >= 12           exponential asymptotic series, exponent-scaled
+
+`airy_scaled(x, bi=False)` evaluates Ai and Ai' alone (the table steps only
+its Ai row), bit for bit equal to the full evaluation. `airy` wraps
+`airy_scaled`: it undoes the exponent split, so there is one region
+dispatch.
 
 `airy_oracle` is an independent validation path: it evaluates the integral
 representations by contour-stabilized quadrature (saddle-point contours in
@@ -43,7 +48,7 @@ _X_POS_ASY = 12.0
 _LADDER_STEP = 0.5
 _TABLE_STEP = 1.0 / 16.0
 _TAYLOR_TERMS = 30     # steps of up to 0.5 (ladders, table build)
-_TABLE_TERMS = 13      # steps of up to 1/32 from a table node
+_TABLE_TERMS = 11      # steps of up to 1/32 from a table node
 _ASY_TERMS = 13
 _ZERO_NEWTON_MAX = 10  # Newton steps of airy_zeros; it takes at most 4
 # Bi ~ e^(2/3 x^(3/2))/(sqrt(pi) x^(1/4)) exceeds double range past this x.
