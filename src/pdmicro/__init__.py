@@ -37,6 +37,7 @@ from .detector import (
     FringeReport,
     current_density,
     radial_profile,
+    far_field_profile,
     map_plane,
     total_flux,
     count_fringes,

@@ -26,8 +26,8 @@ import numpy as np
 from ._quad import pairwise_sum
 from .exceptions import NumericsError
 from .units import FieldScales
-from .green import SpacePoint, SourceModel, SourceKind, _closed_eval
-from . import classical
+from .green import SpacePoint, SourceModel, SourceKind, _closed_eval, ldos_bracket_pz, ldos_bracket_s
+from . import classical, specfun
 
 __all__ = [
     "DetectorPlane",
@@ -36,6 +36,7 @@ __all__ = [
     "FringeReport",
     "current_density",
     "radial_profile",
+    "far_field_profile",
     "map_plane",
     "map_rows",
     "total_flux",
@@ -122,22 +123,61 @@ def current_density(point: SpacePoint, E: float, src: SourceModel, scales: Field
     return float(np.asarray(j).reshape(-1)[0])
 
 
-def radial_profile(E: float, src: SourceModel, scales: FieldScales, plane: DetectorPlane,
-                   n_samples: int) -> RadialProfile:
-    """Sample the normalized current on a uniform radial grid.
-
-    The grid runs from 0 to min(1.2 rho_max, extent); n_samples >= 64.
-    """
+def _profile_grid(E: float, scales: FieldScales, plane: DetectorPlane, n_samples: int):
+    """Uniform radii from 0 to min(1.2 rho_max, extent); n_samples >= 64."""
     if n_samples < 64:
         raise ValueError("radial_profile needs n_samples >= 64")
     if E > 0.0:
         r_edge = min(1.2 * classical.rho_max(E, scales, plane.d), plane.extent)
     else:
         r_edge = plane.extent
-    rho = np.linspace(0.0, r_edge, n_samples)
+    return np.linspace(0.0, r_edge, n_samples)
+
+
+def radial_profile(E: float, src: SourceModel, scales: FieldScales, plane: DetectorPlane,
+                   n_samples: int) -> RadialProfile:
+    """Sample the normalized current on a uniform radial grid.
+
+    The grid runs from 0 to min(1.2 rho_max, extent); n_samples >= 64.
+    """
+    rho = _profile_grid(E, scales, plane, n_samples)
     j = _flux_array(rho, np.full_like(rho, -plane.d), E, src, scales)
     j = j / total_rate(E, src, scales)
     return RadialProfile(rho=rho, j=j, E=E, d=plane.d, source=src, scales=scales)
+
+
+def far_field_profile(E: float, src: SourceModel, scales: FieldScales, plane: DetectorPlane,
+                      n_samples: int) -> RadialProfile:
+    """The normalized current in its far-field closed form, on radial_profile's grid.
+
+    At the detector alpha- is large and negative, so Ci(alpha-) reduces to
+    its outgoing WKB wave and only alpha+ = -u + (R - d)/2 stays O(1). With
+    lengths in l_F and J_s, J_pz the golden-rule brackets:
+
+        j_s  = u Ai(alpha+)^2 / (pi rho_max^2 J_s(-u))
+        j_pz = u Ai'(alpha+)^2 / (pi rho_max^2 J_pz(-u)/3)
+
+    Both integrate to 1 as d/u grows, since Int_{-u}^inf Ai^2 = J_s(-u) and
+    Int_{-u}^inf Ai'^2 = J_pz(-u)/3 (Kramer, Bracher & Kleber, J. Phys. A
+    35, 8361 (2002)). The error against radial_profile is a few u l_F / d
+    of the peak, so this is an oracle for d >= 1e4 l_F; it shares only the
+    Airy evaluator with the closed-form Green function.
+    """
+    if not E > 0.0:
+        raise ValueError("far_field_profile requires E > 0")
+    rho = _profile_grid(E, scales, plane, n_samples)
+    l = scales.length_lF
+    u = E / scales.energy_epsF
+    r = rho / l
+    d = plane.d / l
+    # (R - d)/2 = rho^2 / (2 (R + d)), free of cancellation at R ~ d
+    ai_s, aip_s, _, _, expo = specfun.airy_scaled(-u + 0.5 * r * r / (np.hypot(r, d) + d), bi=False)
+    disk = math.pi * (classical.rho_max(E, scales, plane.d) / l) ** 2
+    if src.kind is SourceKind.S_WAVE:
+        j = u * (ai_s * np.exp(-expo)) ** 2 / (disk * ldos_bracket_s(-u))
+    else:
+        j = u * (aip_s * np.exp(-expo)) ** 2 / (disk * ldos_bracket_pz(-u) / 3.0)
+    return RadialProfile(rho=rho, j=j / (l * l), E=E, d=plane.d, source=src, scales=scales)
 
 
 def map_rows(rows, plane: DetectorPlane, E: float, src: SourceModel, scales: FieldScales,

@@ -316,3 +316,49 @@ def test_plane_validation():
         DetectorPlane(d=0.5, extent=-1e-3, n=32)
     with pytest.raises(ValueError):
         DetectorPlane(d=0.5, extent=1e-3, n=8)
+
+
+class TestFarFieldOracle:
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    def test_far_field_closed_form_matches_exact_profile(self, scales, kind):
+        # j = u Ai^2(alpha+) / (pi rho_max^2 J_s(-u)) (s) or u Ai'^2 / (... J_pz/3)
+        # (pz) differs from the exact flux by O(u l_F / d); measured at most
+        # 3.3 u l_F / d of the peak for u <= 20 (5.2 at u = 40, pz)
+        l = scales.length_lF
+        src = SourceModel(kind, 1.0)
+        for u in (2.0, 5.0, 11.3, 20.0):
+            E = u * scales.energy_epsF
+            for d_lF in (1e4, 1e5, 1e6, 1e7):
+                plane = _plane(E, scales, d=d_lF * l, pad=1.3)
+                exact = radial_profile(E, src, scales, plane, 2000)
+                far = detector.far_field_profile(E, src, scales, plane, 2000)
+                assert np.array_equal(far.rho, exact.rho)
+                err = np.max(np.abs(far.j - exact.j))
+                assert err <= 5.0 * u / d_lF * np.max(exact.j), (u, d_lF)
+
+    def test_far_field_needs_positive_energy(self, scales, s_wave):
+        with pytest.raises(ValueError):
+            detector.far_field_profile(0.0, s_wave, scales, _plane(1e-25, scales), 100)
+
+
+class TestFieldScaling:
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("d", [0.5, 1e-4, 2e-6])
+    def test_profiles_agree_in_field_units(self, scales, kind, d):
+        # the physics depends on the field only through l_F and eps_F: at
+        # 37 V/m with d and E rescaled to the same d/l_F and E/eps_F the
+        # profile is the same in field units. Measured: rho/l_F to 3.8e-16
+        # of the grid edge, j l_F^2 to 4.7e-13 of its peak (pz, 0.1 mm)
+        other = units.make_scales(37.0)
+        src = SourceModel(kind, 1.0)
+        for ueV in (100.0, 237.3):
+            profiles = []
+            for sc, E, dd in ((scales, units.convert_energy(ueV, "ueV", "J"), d),
+                              (other, units.convert_energy(ueV, "ueV", "J")
+                               * other.energy_epsF / scales.energy_epsF,
+                               d * other.length_lF / scales.length_lF)):
+                p = radial_profile(E, src, sc, _plane(E, sc, d=dd), 800)
+                profiles.append((p.rho / sc.length_lF, p.j * sc.length_lF**2))
+            (ra, ja), (rb, jb) = profiles
+            assert np.max(np.abs(ra - rb)) <= 4e-15 * ra[-1]
+            assert np.max(np.abs(ja - jb)) <= 5e-12 * np.max(ja)
