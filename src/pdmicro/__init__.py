@@ -37,7 +37,6 @@ from .detector import (
     FringeReport,
     current_density,
     radial_profile,
-    far_field_profile,
     map_plane,
     total_flux,
     count_fringes,

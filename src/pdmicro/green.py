@@ -31,6 +31,12 @@ energy Green function has two independent evaluation routes:
   analytic value is 1, fixed by the Wronskian at coincidence). Evaluated in
   phase-factored / exponent-split form, it stays accurate from nanometer to
   meter separations.
+
+The vectorized core `_closed_eval(..., want=...)` returns only the outputs
+its caller names (the wave, its first partials, and the mixed second
+partials a pz dipole needs) and computes only the partials of the bilinear
+those need. Bi enters only through Ci(am), so Ai alone is evaluated at ap.
+Leaving outputs out does not move a bit of the ones returned.
 """
 
 from __future__ import annotations
@@ -123,11 +129,11 @@ class GreenEvaluation:
 # Closed form (natural units).
 
 
-def _bilinear(ap, am, order=1):
+def _bilinear(ap, am, order):
     """Stable evaluation of B = Ci(am)Ai'(ap) - Ci'(am)Ai(ap) and partials.
 
     Returns [B, Bp, Bm, Bpp, Bpm, Bmm], where p/m denote d/d(ap), d/d(am);
-    past the given derivative order (0, 1 or 2) the entries are None. All outputs
+    entries past the derivative order (0, 1 or 2) are None. All outputs
     share one common factor already applied: the fast phase of Ci at large
     negative am and the decay exponent of Ai at positive ap, keeping every
     quadrant overflow- and cancellation-safe. Bi enters through Ci(am)

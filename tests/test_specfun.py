@@ -100,7 +100,6 @@ class TestFastPath:
             scale = np.where(x < 0.0, env, np.abs(ref))
             assert np.max(np.abs(got - ref) / scale) <= 2e-13
 
-
     def test_ai_only_is_bitwise_the_full_evaluation(self):
         # bi=False must not move a bit of Ai, Ai' or the exponent: all three
         # regions, the seams at +-12 and both sides of every half-node,
