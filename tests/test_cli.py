@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdmicro import cli, units
-from pdmicro.cli import main, parse_config
+from pdmicro.cli import SUBCOMMANDS, main, parse_config
 from pdmicro.exceptions import ConfigError, QuadratureError
 
 R1_PROFILE = """\
@@ -64,6 +64,28 @@ class TestParseConfig:
         cfg2 = parse_config("field_V_per_m = 400\ndistance_m = 0.5\n")
         with pytest.raises(ConfigError, match="energy_ueV"):
             cli.run_subcommand("profile", cfg2)
+
+    @pytest.mark.parametrize("line", ["noise_percent = nan", "noise_percent = inf",
+                                      "photon_eV = nan", "photon_eV = 1.5, inf"])
+    def test_non_finite_float_names_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"{key} must be .*finite, got .*(nan|inf)"):
+            parse_config(f"field_V_per_m = 400\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["noise_percent = nan", "noise_percent = inf",
+                                      "photon_eV = nan", "photon_eV = inf"])
+    def test_non_finite_sweep_input_exits_2(self, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nbinding_eV = 1.4612\n"
+               "profile_samples = 64\noutput_prefix = nf\n" + line + "\n")
+        if not line.startswith("photon_eV"):
+            cfg += "photon_eV = 1.46135,1.46145\n"
+        assert main(["sweep", _write(tmp_path, "nf.cfg", cfg)]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["nf.cfg"]
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: .*'field_V_per_m'.* line 1"):
+            parse_config("field_V_per_m = 400\ndistance_m = 0.5\nfield_V_per_m = 500\n")
 
 
 class TestSubcommands:
@@ -307,10 +329,9 @@ class TestWorkerPool:
                             lambda fn, items, workers: seen.append(workers) or [])
         cfg = parse_config("field_V_per_m = 400\ndistance_m = 0.5\n"
                            "photon_eV = 1.4613,1.4614\nbinding_eV = 1.4612\n")
-        scales, src = cli._scales_and_source(cfg)
-        cli._sweep_points(cfg, scales, src)
+        cli._sweep_points(cfg)
         cfg.workers = 2
-        cli._sweep_points(cfg, scales, src)
+        cli._sweep_points(cfg)
         assert seen == [3, 2]
 
 
@@ -338,7 +359,7 @@ class TestExitCodesAndCleanup:
     def test_quadrature_diagnostics_reach_stderr(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
 
-        def failing_runner(cfg, created):
+        def failing_runner(cfg):
             raise QuadratureError("panels did not converge",
                                   {"panels": 4096, "growth": 2.5e+17})
 
@@ -414,7 +435,7 @@ class TestProfileRoundTrip:
             cli.load_profile_csv(bad)
         # a subcommand that reads the file reports it with the config exit code
         monkeypatch.setitem(cli._RUNNERS, "profile",
-                            lambda cfg, created: cli.load_profile_csv(bad))
+                            lambda cfg: cli.load_profile_csv(bad))
         assert main(["profile", path]) == 2
 
     def test_malformed_metadata_is_a_config_error(self, tmp_path):
@@ -431,3 +452,89 @@ class TestProfileRoundTrip:
     def test_both_energy_keys_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config("field_V_per_m = 400\nenergy_ueV = 200\nphoton_eV = 1.5\n")
+
+    META = ("# field_V_per_m = 400\n# distance_m = 0.5\n# energy_ueV = 200\n"
+            "# source_kind = s\n# l_F_m = 1e-08\n# rho_max_m = 0.01\n")
+
+    @pytest.mark.parametrize("line, named", [
+        ("# source_kind = d", "source_kind must be 's' or 'pz', got 'd'"),
+        ("# energy_ueV = -200", "energy_ueV must be positive"),
+        ("# distance_m = nan", "distance_m must be positive and finite, got nan"),
+        ("# field_V_per_m = 0", "field_V_per_m must be positive"),
+        ("# distance_m = 0.25", "line 7: key 'distance_m' was already set on line 2"),
+    ])
+    def test_metadata_passes_the_config_checks(self, tmp_path, monkeypatch, line, named):
+        key = line[2:].split(" =")[0]
+        meta = self.META if "0.25" in line else "".join(
+            l + "\n" for l in self.META.splitlines() if not l.startswith(f"# {key} "))
+        bad = tmp_path / "bad_profile.csv"
+        bad.write_text(meta + line + "\nrho_m,j_norm\n0.0,1.0\n0.001,0.5\n")
+        with pytest.raises(ConfigError, match=f"metadata: .*{named}"):
+            cli.load_profile_csv(bad)
+        # a subcommand that reads the file reports it with the config exit code
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._RUNNERS, "profile", lambda cfg: cli.load_profile_csv(bad))
+        path = _write(tmp_path, "r1.cfg", R1_PROFILE.format(prefix="rt"))
+        assert main(["profile", path]) == 2
+
+    @pytest.mark.parametrize("body", ["", "rho_m,j_norm\n"])
+    def test_profile_without_rows_is_a_config_error(self, tmp_path, body):
+        empty = tmp_path / "empty_profile.csv"
+        empty.write_text(self.META + body)
+        with pytest.raises(ConfigError, match="no 'rho_m,j_norm' rows"):
+            cli.load_profile_csv(empty)
+
+
+# one small config per subcommand, for the write-contract tests
+_SMALL = {
+    "map": "energy_ueV = 200\ngrid_n = 16\nprofile_samples = 64\n",
+    "profile": "energy_ueV = 200\nprofile_samples = 300\n",
+    "total-current": "",
+    "sweep": "photon_eV = 1.46135,1.46145,1.46155\nbinding_eV = 1.4612\nprofile_samples = 300\n",
+    "fit-einstein": ("photon_eV = 1.46135,1.46145,1.46155\nbinding_eV = 1.4612\n"
+                     "profile_samples = 300\n"),
+    "compare-semiclassical": "energy_ueV = 200\nprofile_samples = 64\n",
+}
+
+
+class TestWriteContract:
+    def test_failed_rerun_leaves_earlier_outputs_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", _write(tmp_path, "ok.cfg", R1_PROFILE.format(prefix="p"))]) == 0
+        before = {f: (tmp_path / f).read_bytes() for f in ("p_profile.csv", "p_fringes.csv")}
+        # undersampled: count_fringes fails after the profile is computed
+        cfg = ("field_V_per_m = 400\ndistance_m = 0.5\nenergy_ueV = 400\n"
+               "profile_samples = 64\noutput_prefix = p\n")
+        assert main(["profile", _write(tmp_path, "bad.cfg", cfg)]) == 3
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "ok.cfg", *sorted(before)]
+        for name, blob in before.items():
+            assert (tmp_path / name).read_bytes() == blob
+
+    def test_oserror_in_second_artifact_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_csv = cli._write_csv
+        calls = []
+
+        def disk_fills_on_second(path, meta, header, rows):
+            calls.append(path)
+            if len(calls) == 1:
+                return write_csv(path, meta, header, rows)
+            with open(path, "w") as f:
+                f.write(meta[0])
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "_write_csv", disk_fills_on_second)
+        assert main(["profile", _write(tmp_path, "p.cfg", R1_PROFILE.format(prefix="p"))]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 28] No space left on device: 'p_fringes.csv'\n")
+        assert len(calls) == 2 and not any(os.path.basename(c).startswith("p_") for c in calls)
+        assert sorted(os.listdir(tmp_path)) == ["p.cfg"]
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_compute_does_no_file_io(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config("field_V_per_m = 400\ndistance_m = 0.5\nworkers = 1\n"
+                           "output_prefix = c\n" + _SMALL[name])
+        outputs = cli._RUNNERS[name](cfg)
+        assert outputs and all(isinstance(a, (cli.Csv, cli.Pgm, str)) for a in outputs)
+        assert os.listdir(tmp_path) == []
